@@ -13,6 +13,7 @@
 //! `attrib-v1` (documented in DESIGN.md §11).
 
 use crate::Cell;
+use codec::esc;
 use profiling::CycleBreakdown;
 use std::path::{Path, PathBuf};
 
@@ -222,18 +223,6 @@ pub fn narrative(base: &Cell, cand: &Cell) -> String {
         ));
     }
     out
-}
-
-fn esc(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// One breakdown as a JSON object, bucket names from

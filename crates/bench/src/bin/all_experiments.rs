@@ -10,6 +10,7 @@
 
 use carrefour_bench::runner::{self, CellOutcome, Progress, TimedCell};
 use carrefour_bench::{attrib, experiments, journal, logx};
+use codec::esc;
 use std::collections::HashMap;
 
 /// The journal suite name: one journal serves the whole binary, whatever
@@ -439,7 +440,6 @@ fn write_bench_runner_json(
     host_cores: usize,
     total_wall_secs: f64,
 ) {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut out = String::from("{\n");
     out.push_str("  \"schema\": \"bench-runner-v5\",\n");
     out.push_str(&format!(

@@ -36,7 +36,7 @@
 
 use carrefour_bench::runner::{self, par_map, CellSpec, Progress, Workload};
 use carrefour_bench::{save_json, Cell, PolicyKind};
-use engine::{FaultConfig, SimConfig, SimResult, Simulation};
+use engine::{FaultConfig, Hooks, Run, SimConfig, SimResult, Simulation};
 use numa_topology::MachineSpec;
 use workloads::Benchmark;
 
@@ -132,13 +132,16 @@ fn verify_case(machine: &MachineSpec, case: &CkptCase) -> CkptVerdict {
     let mut diverged = Vec::new();
     for &epoch in &checked {
         let mut p1 = kind.make();
-        let Some(ckpt) = Simulation::checkpoint_at(machine, &spec, &config, p1.as_mut(), epoch)
-        else {
+        let mut prefix = Run::start(machine, &spec, &config, p1.as_mut(), Hooks::default());
+        if !prefix.step_to(epoch) {
             diverged.push(epoch);
             continue;
-        };
+        }
+        let ckpt = prefix.checkpoint();
         let mut p2 = kind.make();
-        let resumed = Simulation::resume(machine, &spec, &config, p2.as_mut(), &ckpt);
+        let hooks = Hooks::default();
+        let resumed =
+            Run::resume(machine, &spec, &config, p2.as_mut(), hooks, &ckpt, true).finish();
         if resumed != full {
             diverged.push(epoch);
         }

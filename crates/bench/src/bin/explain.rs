@@ -40,7 +40,7 @@
 
 use carrefour_bench::runner::{par_map, resolve_jobs};
 use carrefour_bench::{attrib, golden, Cell, PolicyKind};
-use engine::{EpochCtx, NumaPolicy, SimConfig, Simulation};
+use engine::{EpochCtx, Hooks, NumaPolicy, Run, SimConfig, Simulation};
 use numa_topology::MachineSpec;
 use std::path::Path;
 use workloads::Benchmark;
@@ -195,18 +195,35 @@ fn what_if(machine: &MachineSpec, bench: Benchmark, kind: PolicyKind, fork_epoch
     }
 
     // Fork: one ckpt-v1 snapshot, two resumed tails.
-    let ckpt = Simulation::checkpoint_at(machine, &spec, &config, kind.make().as_mut(), fork)
-        .unwrap_or_else(|| {
-            die(&format!(
-                "checkpoint at epoch {fork} failed (run too short)"
-            ))
-        });
+    let mut prefix_policy = kind.make();
+    let mut prefix = Run::start(
+        machine,
+        &spec,
+        &config,
+        prefix_policy.as_mut(),
+        Hooks::default(),
+    );
+    if !prefix.step_to(fork) {
+        die(&format!(
+            "checkpoint at epoch {fork} failed (run too short)"
+        ));
+    }
+    let ckpt = prefix.checkpoint();
     let mut wrapped = WhatIfPolicy {
         inner: kind.make(),
         label: format!("{}[what-if]", kind.label()),
         vetoed: None,
     };
-    let mut counter = Simulation::resume(machine, &spec, &config, &mut wrapped, &ckpt);
+    let mut counter = Run::resume(
+        machine,
+        &spec,
+        &config,
+        &mut wrapped,
+        Hooks::default(),
+        &ckpt,
+        true,
+    )
+    .finish();
     let Some(vetoed) = wrapped.vetoed else {
         die(&format!(
             "{}/{} queued no actions after epoch {fork}; nothing to veto \

@@ -643,7 +643,7 @@ fn write_json(
     refinements: &[Refinement],
     scratch: Option<&FamilyStats>,
 ) {
-    let esc = carrefour_bench::json::esc;
+    let esc = codec::esc;
     let total = stats.epochs_simulated + stats.epochs_reused;
     let mut out = String::from("{\n");
     out.push_str("  \"schema\": \"sweep-v1\",\n");

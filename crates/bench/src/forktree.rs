@@ -18,17 +18,17 @@
 //! recorded inputs *are* the inputs the sibling would have seen. At the
 //! first mismatch (epoch `e`), only epochs `e..` can differ; the sibling
 //! resumes from the deepest cached checkpoint `j ≤ e` via
-//! [`Simulation::resume_forked`], which restores the simulation state but
-//! leaves the policy alone (the checkpoint holds the *probe's* policy
-//! bytes). The sibling's policy state at `j` is rebuilt by replaying a
-//! fresh instance over boundaries `0..j` — already verified equal, so the
-//! replay is cheap and exact. Cache eviction only ever costs reuse, never
+//! [`Run::resume`] with `restore_policy` off, which restores the
+//! simulation state but leaves the policy alone (the checkpoint holds the
+//! *probe's* policy bytes). The sibling's policy state at `j` is rebuilt
+//! by replaying a fresh instance over boundaries `0..j` — already verified
+//! equal, so the replay is cheap and exact. Cache eviction only ever costs reuse, never
 //! correctness: with no usable checkpoint the sibling runs from scratch.
 
 use crate::runner::CellSpec;
 use engine::{
-    Checkpoint, DigestSink, EpochBoundary, EpochCtx, FailedAction, NumaPolicy, RunObserver,
-    SimResult, Simulation, TraceDigest,
+    Checkpoint, DigestSink, EpochBoundary, EpochCtx, FailedAction, Hooks, NumaPolicy, Run,
+    RunObserver, SimResult, Simulation, TraceDigest, TraceSink,
 };
 use numa_topology::MachineSpec;
 use profiling::{EpochCounters, IbsSample};
@@ -278,30 +278,20 @@ pub fn run_family(specs: &[CellSpec], traced: bool) -> (Vec<FamilyCell>, FamilyS
     let probe_t = Instant::now();
     let mut probe_policy = probe_spec.make_policy();
     let probe_name = probe_policy.name().to_string();
-    let (mut probe_result, probe_digest) = if traced {
-        let mut sink = DigestSink::new();
-        let r = Simulation::run_observed(
-            machine,
-            &wspec,
-            &config,
-            probe_policy.as_mut(),
-            Some(&mut sink),
-            &mut recorder,
-        );
-        let mut d = sink.into_digest();
-        d.runtime_cycles = r.runtime_cycles;
-        (r, Some(d))
-    } else {
-        let r = Simulation::run_observed(
-            machine,
-            &wspec,
-            &config,
-            probe_policy.as_mut(),
-            None,
-            &mut recorder,
-        );
-        (r, None)
-    };
+    let mut sink = traced.then(DigestSink::new);
+    let mut probe_result = Simulation::run_observed(
+        machine,
+        &wspec,
+        &config,
+        probe_policy.as_mut(),
+        sink.as_mut().map(|s| s as &mut dyn TraceSink),
+        &mut recorder,
+    );
+    let probe_digest = sink.map(|s| {
+        let mut d = s.into_digest();
+        d.runtime_cycles = probe_result.runtime_cycles;
+        d
+    });
     stats.epochs_simulated += probe_result.epochs.len() as u64;
     stats.probe_secs += probe_t.elapsed().as_secs_f64();
     probe_result.policy = probe_spec.policy_label();
@@ -370,23 +360,25 @@ pub fn run_family(specs: &[CellSpec], traced: bool) -> (Vec<FamilyCell>, FamilyS
         }
         stats.replay_secs += rebuild_t.elapsed().as_secs_f64();
         let resume_t = Instant::now();
-        let (mut result, digest) = if traced {
-            let mut sink = DigestSink::new();
-            let r = Simulation::resume_forked_traced(
-                machine,
-                &wspec,
-                &config,
-                forked.as_mut(),
-                Some(&mut sink),
-                ckpt,
-            );
-            let probe_d = probe_digest.as_ref().expect("traced probe has a digest");
-            let d = splice_digest(probe_d, sink.into_digest(), fork_epoch, r.runtime_cycles);
-            (r, Some(d))
-        } else {
-            let r = Simulation::resume_forked(machine, &wspec, &config, forked.as_mut(), ckpt);
-            (r, None)
+        let mut sink = traced.then(DigestSink::new);
+        let hooks = Hooks {
+            trace: sink.as_mut().map(|s| s as &mut dyn TraceSink),
+            observer: None,
         };
+        let mut result = Run::resume(
+            machine,
+            &wspec,
+            &config,
+            forked.as_mut(),
+            hooks,
+            ckpt,
+            false,
+        )
+        .finish();
+        let digest = sink.map(|s| {
+            let probe_d = probe_digest.as_ref().expect("traced probe has a digest");
+            splice_digest(probe_d, s.into_digest(), fork_epoch, result.runtime_cycles)
+        });
         stats.epochs_reused += u64::from(fork_epoch);
         stats.epochs_simulated += result.epochs.len() as u64 - u64::from(fork_epoch);
         stats.resume_secs += resume_t.elapsed().as_secs_f64();

@@ -27,9 +27,9 @@
 //! [`CellSpec::key`]: crate::runner::CellSpec::key
 //! [`SimResult`]: engine::SimResult
 
-use crate::json::esc;
 use crate::runner::TimedCell;
 use crate::Cell;
+use codec::esc;
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;

@@ -257,26 +257,10 @@ pub mod json {
     //! names match the Rust struct fields, as serde would have emitted.
 
     use super::Cell;
+    use codec::esc;
     use engine::{EpochRecord, LifetimeStats, PageMetrics, RobustnessStats, SimResult};
     use profiling::EpochCounters;
     use vmem::VmemStats;
-
-    /// Escapes a string for a JSON string literal (without quotes).
-    pub fn esc(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
 
     /// Formats a float as a JSON value (`null` for non-finite values).
     fn num(v: f64) -> String {

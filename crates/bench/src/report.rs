@@ -22,7 +22,7 @@
 
 use crate::golden::GOLDEN_CELLS;
 use engine::{
-    JsonlMetricsRecorder, MetricsRow, SimConfig, Simulation, TeeMetricsRecorder, VecMetricsRecorder,
+    Hooks, JsonlMetricsRecorder, MetricsRow, Run, SimConfig, TeeMetricsRecorder, VecMetricsRecorder,
 };
 use numa_topology::MachineSpec;
 use std::path::Path;
@@ -62,7 +62,11 @@ pub fn record_golden_cells(dir: &Path) -> Vec<CellSeries> {
         let mut jsonl = JsonlMetricsRecorder::new(Vec::new());
         let result = {
             let mut tee = TeeMetricsRecorder::new(&mut vec_rec, &mut jsonl);
-            Simulation::run_recorded(&machine, &spec, &config, policy.as_mut(), None, &mut tee)
+            let hooks = Hooks {
+                trace: None,
+                observer: Some(&mut tee),
+            };
+            Run::start(&machine, &spec, &config, policy.as_mut(), hooks).finish()
         };
         let stem = cell.stem();
         if let Some(e) = jsonl.error() {

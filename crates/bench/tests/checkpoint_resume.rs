@@ -21,13 +21,37 @@
 
 use carrefour::CarrefourLp;
 use carrefour_bench::{golden, PolicyKind};
-use engine::{FaultConfig, NumaPolicy, SimConfig, SimResult, Simulation};
+use engine::{Checkpoint, FaultConfig, Hooks, NumaPolicy, Run, SimConfig, SimResult, Simulation};
 use numa_topology::MachineSpec;
 use proptest::prelude::*;
 use std::sync::Mutex;
 use workloads::{AccessPattern, RegionSpec, WorkloadSpec};
 
 const BASE: u64 = 64 << 30;
+
+/// Runs to the boundary that begins `epoch` and snapshots there; `None`
+/// when the run completes first.
+fn checkpoint_at(
+    machine: &MachineSpec,
+    spec: &WorkloadSpec,
+    config: &SimConfig,
+    policy: &mut dyn NumaPolicy,
+    epoch: u32,
+) -> Option<Checkpoint> {
+    let mut run = Run::start(machine, spec, config, policy, Hooks::default());
+    run.step_to(epoch).then(|| run.checkpoint())
+}
+
+/// Resumes `ckpt` under a fresh `policy` and runs it to completion.
+fn resume(
+    machine: &MachineSpec,
+    spec: &WorkloadSpec,
+    config: &SimConfig,
+    policy: &mut dyn NumaPolicy,
+    ckpt: &Checkpoint,
+) -> SimResult {
+    Run::resume(machine, spec, config, policy, Hooks::default(), ckpt, true).finish()
+}
 
 /// Serializes tests that flip `CARREFOUR_NO_FASTPATH` (the engine reads
 /// it per run; cargo runs tests in this binary on threads).
@@ -76,10 +100,10 @@ fn assert_resume_identical(
     epoch: u32,
     full: &SimResult,
 ) {
-    let ckpt = Simulation::checkpoint_at(machine, spec, config, make_policy().as_mut(), epoch)
+    let ckpt = checkpoint_at(machine, spec, config, make_policy().as_mut(), epoch)
         .unwrap_or_else(|| panic!("run has {} epochs, none at {epoch}", full.epochs.len()));
     let ckpt = engine::Checkpoint::from_bytes(&ckpt.to_bytes()).expect("envelope round-trip");
-    let resumed = Simulation::resume(machine, spec, config, make_policy().as_mut(), &ckpt);
+    let resumed = resume(machine, spec, config, make_policy().as_mut(), &ckpt);
     assert_eq!(
         &resumed, full,
         "resume from epoch {epoch} diverged ({}/{})",
@@ -231,13 +255,54 @@ fn every_epoch_resumes_mid_table_replication_and_migration() {
         }
         // A mid-stream snapshot must also resume identically on the
         // forced per-op path (which must itself agree with the fast path).
-        let ckpt = Simulation::checkpoint_at(&machine, &spec, &config, kind.make().as_mut(), n / 2)
+        let ckpt = checkpoint_at(&machine, &spec, &config, kind.make().as_mut(), n / 2)
             .expect("mid-run snapshot");
         std::env::set_var("CARREFOUR_NO_FASTPATH", "1");
-        let resumed_slow =
-            Simulation::resume(&machine, &spec, &config, kind.make().as_mut(), &ckpt);
+        let resumed_slow = resume(&machine, &spec, &config, kind.make().as_mut(), &ckpt);
         std::env::remove_var("CARREFOUR_NO_FASTPATH");
         assert_eq!(&resumed_slow, &full, "per-op resume diverged ({:?})", kind);
+    }
+}
+
+/// The raw `ckpt-v1` bytes of two golden cells at a mid-run boundary,
+/// pinned by length and FNV-1a-64. Every other battery compares
+/// checkpoints within one build; this one fails when a code change moves
+/// a single byte of the format (field order, encoding, or the state a
+/// snapshot carries) without bumping the schema on purpose. The values
+/// hold at any shard count (`CARREFOUR_SHARDS` never affects results).
+#[test]
+fn ckpt_v1_bytes_are_pinned_across_code_versions() {
+    let _guard = env_lock();
+    std::env::remove_var("CARREFOUR_NO_FASTPATH");
+    let machine = MachineSpec::machine_a();
+    let pins = [
+        (
+            "ua_b__carrefour_lp",
+            true,
+            2_174_973,
+            0x1cf5_5889_d9a1_b73e_u64,
+        ),
+        ("cg_d__thp", false, 1_629_610, 0x5d99_92e9_56a4_d50a),
+    ];
+    for (stem, attribution, len, hash) in pins {
+        let cell = golden::GOLDEN_CELLS
+            .iter()
+            .copied()
+            .find(|c| c.stem() == stem)
+            .expect("pinned cell is a golden cell");
+        let mut config = SimConfig::for_machine(&machine, cell.kind.initial_thp());
+        config.attribution = attribution;
+        let spec = cell.bench.spec(&machine);
+        let ckpt = checkpoint_at(&machine, &spec, &config, cell.kind.make().as_mut(), 10)
+            .expect("epoch 10 exists");
+        let bytes = ckpt.to_bytes();
+        assert_eq!(
+            (bytes.len(), codec::fnv1a(&bytes)),
+            (len, hash),
+            "{stem}: ckpt-v1 bytes moved (len, fnv1a) = ({}, {:#x})",
+            bytes.len(),
+            codec::fnv1a(&bytes)
+        );
     }
 }
 
@@ -275,16 +340,16 @@ proptest! {
         let n = full.epochs.len() as u32;
         // frac < 1.0 scaled over n+1 boundaries covers 0..=n inclusive.
         let epoch = (((f64::from(n) + 1.0) * epoch_frac) as u32).min(n);
-        let ckpt = Simulation::checkpoint_at(&machine, &spec, &config, kind.make().as_mut(), epoch)
+        let ckpt = checkpoint_at(&machine, &spec, &config, kind.make().as_mut(), epoch)
             .unwrap_or_else(|| panic!("run has {n} epochs, none at {epoch}"));
-        let resumed = Simulation::resume(&machine, &spec, &config, kind.make().as_mut(), &ckpt);
+        let resumed = resume(&machine, &spec, &config, kind.make().as_mut(), &ckpt);
         prop_assert_eq!(&resumed, &full, "fast-path resume diverged at epoch {}", epoch);
 
         // The per-op path must agree with the fast path (the existing
         // equivalence claim) and accept the fast-path snapshot verbatim.
         std::env::set_var("CARREFOUR_NO_FASTPATH", "1");
         let full_slow = Simulation::run(&machine, &spec, &config, kind.make().as_mut());
-        let resumed_slow = Simulation::resume(&machine, &spec, &config, kind.make().as_mut(), &ckpt);
+        let resumed_slow = resume(&machine, &spec, &config, kind.make().as_mut(), &ckpt);
         std::env::remove_var("CARREFOUR_NO_FASTPATH");
         prop_assert_eq!(&full_slow, &full, "fast/per-op paths diverged");
         prop_assert_eq!(

@@ -1,7 +1,8 @@
 //! Recorder-on vs recorder-off bit-equivalence of the flight recorder.
 //!
 //! The metrics recorder's contract (DESIGN.md §16) mirrors the trace
-//! layer's: attaching a [`engine::MetricsRecorder`] is pure observation —
+//! layer's: attaching a metrics-recording [`engine::RunObserver`] is pure
+//! observation —
 //! it must never change a single bit of the simulation's outputs. These
 //! tests pin that at its strongest reading:
 //!
@@ -13,12 +14,14 @@
 //!   4 (CI re-runs this whole binary under `CARREFOUR_SHARDS=4` as
 //!   well);
 //! * the recorded series itself is structurally sound: one row per
-//!   simulated epoch, in order, with the run header announced.
+//!   simulated epoch, in order, with the run header announced;
+//! * a recorder attached to a **resumed** run records exactly the tail of
+//!   an uninterrupted recorded run, at every boundary.
 
 use carrefour_bench::{golden, PolicyKind};
 use engine::{
-    DigestSink, FaultConfig, NumaPolicy, SimConfig, SimResult, Simulation, TraceDigest,
-    VecMetricsRecorder,
+    DigestSink, FaultConfig, Hooks, MetricsRow, NumaPolicy, Run, SimConfig, SimResult, Simulation,
+    TraceDigest, VecMetricsRecorder,
 };
 use numa_topology::MachineSpec;
 use proptest::prelude::*;
@@ -74,7 +77,7 @@ fn run_recorded(
 ) -> (SimResult, TraceDigest, VecMetricsRecorder) {
     let mut sink = DigestSink::new();
     let mut rec = VecMetricsRecorder::new();
-    let result = Simulation::run_recorded(machine, spec, config, policy, Some(&mut sink), &mut rec);
+    let result = Simulation::run_observed(machine, spec, config, policy, Some(&mut sink), &mut rec);
     (result, sink.into_digest(), rec)
 }
 
@@ -143,6 +146,79 @@ fn golden_cells_are_bit_identical_with_recorder_on() {
             want.diff(&got).unwrap_or_default()
         );
     });
+}
+
+/// Rows with the host-side `lanes_free` field cleared: the lane pool's
+/// state at a boundary depends on what else the process runs, not on the
+/// simulation.
+fn sim_rows(rows: &[MetricsRow]) -> Vec<MetricsRow> {
+    rows.iter()
+        .map(|r| MetricsRow {
+            lanes_free: 0,
+            ..r.clone()
+        })
+        .collect()
+}
+
+/// A recorder attached to a run resumed at epoch `e` records exactly rows
+/// `e..` of an uninterrupted recorded run — TLB and walk-cache deltas
+/// included, which difference lifetime counters against the previous
+/// boundary — and announces the same run header. Checked at every
+/// boundary under faults, with attribution and page stats on.
+#[test]
+fn recorded_resume_equals_the_tail_of_an_uninterrupted_recorded_run() {
+    let machine = MachineSpec::test_machine();
+    let mut spec = small_spec("metrics-resume", 4, AccessPattern::SharedUniform);
+    // A serial loader prelude touches memory before epoch 0 begins: its
+    // TLB and walk-cache traffic belongs to epoch 0's row.
+    spec.regions[0].alloc_skew = 0.5;
+    for kind in [PolicyKind::CarrefourLp, PolicyKind::LinuxThp] {
+        let mut config = SimConfig::for_machine(&machine, kind.initial_thp());
+        config.attribution = true;
+        config.faults = FaultConfig::uniform(7, 0.2);
+        let (full, _, whole) = run_recorded(&machine, &spec, &config, kind.make().as_mut());
+        assert!(
+            full.pages.psp > 0.0 || full.pages.pamup > 0.0,
+            "page stats on"
+        );
+        let want = sim_rows(&whole.rows);
+        let n = full.epochs.len() as u32;
+        for epoch in 0..=n {
+            let mut prefix_policy = kind.make();
+            let mut prefix = Run::start(
+                &machine,
+                &spec,
+                &config,
+                prefix_policy.as_mut(),
+                Hooks::default(),
+            );
+            assert!(prefix.step_to(epoch), "run has {n} epochs, none at {epoch}");
+            let ckpt = prefix.checkpoint();
+            let mut tail = VecMetricsRecorder::new();
+            let mut policy = kind.make();
+            let hooks = Hooks {
+                trace: None,
+                observer: Some(&mut tail),
+            };
+            let resumed = Run::resume(
+                &machine,
+                &spec,
+                &config,
+                policy.as_mut(),
+                hooks,
+                &ckpt,
+                true,
+            )
+            .finish();
+            assert_eq!(resumed, full, "{kind:?}: resume at {epoch} diverged");
+            assert_eq!(
+                sim_rows(&tail.rows),
+                want[epoch as usize..],
+                "{kind:?}: resumed rows differ from the uninterrupted tail at {epoch}"
+            );
+            assert_eq!(tail.header, whole.header, "{kind:?}: run header");
+        }
+    }
 }
 
 proptest! {

@@ -20,13 +20,40 @@
 //! attribution ledger because `AttributionLedger` derives `PartialEq`.
 
 use carrefour_bench::{golden, PolicyKind};
-use engine::{DigestSink, FaultConfig, NumaPolicy, SimConfig, SimResult, Simulation, TraceDigest};
+use engine::{
+    Checkpoint, DigestSink, FaultConfig, Hooks, NumaPolicy, Run, SimConfig, SimResult, Simulation,
+    TraceDigest,
+};
 use numa_topology::MachineSpec;
 use proptest::prelude::*;
 use std::sync::Mutex;
 use workloads::{AccessPattern, RegionSpec, WorkloadSpec};
 
 const BASE: u64 = 64 << 30;
+
+/// Runs to the boundary that begins `epoch` and snapshots there; `None`
+/// when the run completes first.
+fn checkpoint_at(
+    machine: &MachineSpec,
+    spec: &WorkloadSpec,
+    config: &SimConfig,
+    policy: &mut dyn NumaPolicy,
+    epoch: u32,
+) -> Option<Checkpoint> {
+    let mut run = Run::start(machine, spec, config, policy, Hooks::default());
+    run.step_to(epoch).then(|| run.checkpoint())
+}
+
+/// Resumes `ckpt` under a fresh `policy` and runs it to completion.
+fn resume(
+    machine: &MachineSpec,
+    spec: &WorkloadSpec,
+    config: &SimConfig,
+    policy: &mut dyn NumaPolicy,
+    ckpt: &Checkpoint,
+) -> SimResult {
+    Run::resume(machine, spec, config, policy, Hooks::default(), ckpt, true).finish()
+}
 
 /// The shard counts the acceptance bar names: serial, even split, uneven
 /// split (3 lanes over 4 node groups), and over-subscribed (8 > any
@@ -181,28 +208,27 @@ fn checkpoints_are_byte_identical_and_resume_across_shard_counts() {
     );
 
     for epoch in [1, n / 2, n - 1] {
-        let ckpt_serial = Simulation::checkpoint_at(&machine, &spec, &serial, mk().as_mut(), epoch)
-            .expect("serial snapshot");
+        let ckpt_serial =
+            checkpoint_at(&machine, &spec, &serial, mk().as_mut(), epoch).expect("serial snapshot");
         for shards in SHARD_COUNTS {
             let mut c = config.clone();
             c.shards = shards;
             // Byte identity of the snapshot itself.
-            let ckpt_sharded = Simulation::checkpoint_at(&machine, &spec, &c, mk().as_mut(), epoch)
-                .expect("sharded snapshot");
+            let ckpt_sharded =
+                checkpoint_at(&machine, &spec, &c, mk().as_mut(), epoch).expect("sharded snapshot");
             assert_eq!(
                 ckpt_serial.to_bytes(),
                 ckpt_sharded.to_bytes(),
                 "snapshot bytes diverged at epoch {epoch}, shards={shards}"
             );
             // Serial snapshot → sharded tail.
-            let resumed = Simulation::resume(&machine, &spec, &c, mk().as_mut(), &ckpt_serial);
+            let resumed = resume(&machine, &spec, &c, mk().as_mut(), &ckpt_serial);
             assert_eq!(
                 resumed, full,
                 "sharded resume of serial snapshot diverged at epoch {epoch}, shards={shards}"
             );
             // Sharded snapshot → serial tail.
-            let resumed =
-                Simulation::resume(&machine, &spec, &serial, mk().as_mut(), &ckpt_sharded);
+            let resumed = resume(&machine, &spec, &serial, mk().as_mut(), &ckpt_sharded);
             assert_eq!(
                 resumed, full,
                 "serial resume of sharded snapshot diverged at epoch {epoch}, shards={shards}"

@@ -279,9 +279,36 @@ pub fn from_hex(s: &str) -> Option<Vec<u8>> {
     Some(out)
 }
 
+/// Escapes a string for a JSON string literal (without the quotes) — the
+/// one escaper behind every hand-rolled JSON writer in the workspace
+/// (trace and metrics JSONL, runner and journal files).
+pub fn esc(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn esc_escapes_quotes_backslashes_and_controls() {
+        assert_eq!(esc("UA.B"), "UA.B");
+        assert_eq!(esc(r#"a"b\c"#), r#"a\"b\\c"#);
+        assert_eq!(esc("x\ny\tz\r"), r"x\ny\tz\r");
+        assert_eq!(esc("\u{1}"), r"\u0001");
+    }
 
     #[test]
     fn scalar_round_trip() {

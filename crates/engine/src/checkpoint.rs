@@ -3,7 +3,7 @@
 //! A [`Checkpoint`] captures everything a mid-stream resume needs — vmem
 //! address space, caches, controllers, TLBs, sampler, fault plan, RNG
 //! streams, policy state, and the engine's loop-carried accumulators — at
-//! an epoch boundary, such that [`crate::Simulation::resume`] continues
+//! an epoch boundary, such that [`crate::Run::resume`] continues
 //! the run **bit-identically** to one that was never interrupted.
 //!
 //! # Envelope format
@@ -26,7 +26,7 @@
 //! bytes all surface as a typed [`CheckpointError`]. A checkpoint whose
 //! *config fingerprint* differs (different machine, workload spec, or
 //! simulation config — including seed and fault plan) parses fine but is
-//! rejected at [`crate::Simulation::resume`] time: resuming under changed
+//! rejected at [`crate::Run::resume`] time: resuming under changed
 //! inputs cannot reproduce the uninterrupted run and is a caller bug.
 
 use crate::policy::{ActionError, FailedAction, PolicyAction};
@@ -160,7 +160,7 @@ impl Checkpoint {
     }
 
     /// Whether this checkpoint was taken under exactly these inputs.
-    /// [`crate::Simulation::resume`] refuses checkpoints that don't match:
+    /// [`crate::Run::resume`] refuses checkpoints that don't match:
     /// a resume under a different machine, spec, or config cannot
     /// reproduce the uninterrupted run.
     pub fn matches(

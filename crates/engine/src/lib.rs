@@ -17,6 +17,18 @@
 //!   cycle costs and TLB shootdowns, and the kernel-side work is charged to
 //!   wall time, which is how the paper's Section 4.2 overhead numbers arise.
 //!
+//! # Driving a run
+//!
+//! [`Run`] is the one driver. It owns a run's whole state and steps it an
+//! epoch at a time — the per-interval monitor → decide → apply loop of
+//! Carrefour-LP ([`Run::start`], [`Run::step_epoch`], [`Run::finish`]).
+//! Between steps a run sits at an epoch boundary, where
+//! [`Run::checkpoint`] snapshots it and [`Run::resume`] continues from the
+//! snapshot bit-identically. [`Simulation`] wraps the whole-run cases. A
+//! run takes two optional [`Hooks`]: a per-event [`TraceSink`] and a
+//! per-boundary [`RunObserver`], which also receives the flight
+//! recorder's per-epoch [`MetricsSample`]s.
+//!
 //! # Examples
 //!
 //! ```
@@ -50,14 +62,14 @@ pub use policy::{
     ActionError, EpochCtx, FailedAction, NullPolicy, NumaPolicy, PolicyAction, PolicyIntrospection,
 };
 pub use recorder::{
-    JsonlMetricsRecorder, MetricsRecorder, MetricsRow, MetricsSample, PageSnapshot, RunInfo,
-    TeeMetricsRecorder, VecMetricsRecorder,
+    JsonlMetricsRecorder, MetricsRow, MetricsSample, PageSnapshot, RunInfo, TeeMetricsRecorder,
+    VecMetricsRecorder,
 };
 pub use result::{
     AttributionLedger, EpochAttribution, EpochRecord, LifetimeStats, PageMetrics, RobustnessStats,
     SimResult,
 };
-pub use sim::{env_override_u32, EpochBoundary, RunObserver, Simulation};
+pub use sim::{env_override_u32, EpochBoundary, Hooks, Run, RunObserver, Simulation};
 pub use trace::{
     epoch_output_fingerprint, CountingSink, DigestSink, EpochDigest, EpochSnap, EventKind,
     JsonlSink, PolicyDecision, RingSink, TeeSink, TraceDigest, TraceEvent, TraceSink, VecSink,

@@ -1,20 +1,20 @@
 //! The flight recorder's engine layer: per-epoch metric time-series.
 //!
-//! A [`MetricsRecorder`] is a `TraceSink`-style hook that the simulation
-//! driver calls once per epoch boundary with a [`MetricsSample`] — the
-//! paper's derived metrics (imbalance, PAMUP, NHP, PSP), per-controller
-//! load, TLB and walk-cache hit rates for the epoch, the policy's
-//! retry/breaker state ([`crate::PolicyIntrospection`]), and the
-//! attribution ledger's per-epoch delta. Where `engine::trace` answers
-//! "what happened", the recorder answers "how did the paper's metrics
-//! *evolve*" — the temporal curves Sections 2.2 and 3 of the paper argue
-//! from.
+//! A metrics recorder is a [`RunObserver`] that declares
+//! [`RunObserver::wants_metrics`]; the run then hands it one
+//! [`MetricsSample`] per epoch boundary — the paper's derived metrics
+//! (imbalance, PAMUP, NHP, PSP), per-controller load, TLB and walk-cache
+//! hit rates for the epoch, the policy's retry/breaker state
+//! ([`crate::PolicyIntrospection`]), and the attribution ledger's
+//! per-epoch delta. Where `engine::trace` answers "what happened", the
+//! recorder answers "how did the paper's metrics *evolve*" — the temporal
+//! curves Sections 2.2 and 3 of the paper argue from.
 //!
 //! # Zero-cost-when-off, bit-identity-preserving
 //!
 //! The contract mirrors the trace layer's (DESIGN.md §9, §16): when no
-//! recorder is attached the driver pays one `Option` test per epoch and
-//! nothing else; when one *is* attached, every read it performs is
+//! recorder is attached the run pays one flag test per epoch and nothing
+//! else; when one *is* attached, every read it performs is
 //! `&self` — counters already computed, page-stat aggregation, policy
 //! introspection — so a recorded run's `SimResult`, ledger, and trace
 //! digest are bit-identical to an unrecorded run's (proptested in
@@ -30,6 +30,8 @@
 //! `{"metrics": "epoch", ...}` line per boundary. Schema in DESIGN.md §16.
 
 use crate::policy::PolicyIntrospection;
+use crate::sim::RunObserver;
+use codec::esc;
 use profiling::CycleBreakdown;
 use std::io::Write;
 
@@ -226,44 +228,9 @@ fn u64_array(values: &[u64]) -> String {
     format!("[{}]", inner.join(","))
 }
 
-/// Escapes a string for a JSON string literal (without quotes).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// The per-epoch metrics hook. Like `TraceSink`, implementations must be
-/// pure consumers: a recorder that mutated simulation state would break
-/// the bit-identity contract.
-pub trait MetricsRecorder {
-    /// Called once, before the first round executes (only on full runs —
-    /// checkpoint/resume segments do not re-announce themselves).
-    fn on_run_start(&mut self, _info: &RunInfo<'_>) {}
-
-    /// Called at every epoch boundary, after the policy ran and its
-    /// actions were applied (so `epoch_cycles` includes the boundary
-    /// overhead), before the next epoch begins.
-    fn on_epoch(&mut self, sample: &MetricsSample<'_>);
-
-    /// Called when the run completes (flush point for buffering
-    /// recorders). Not called when a `checkpoint_at` run stops early.
-    fn finish(&mut self) {}
-}
-
 /// An owned copy of one sample — what [`VecMetricsRecorder`] stores and
 /// report tooling charts from.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MetricsRow {
     /// The epoch this boundary closed.
     pub epoch: u32,
@@ -341,7 +308,7 @@ impl VecMetricsRecorder {
     }
 }
 
-impl MetricsRecorder for VecMetricsRecorder {
+impl RunObserver for VecMetricsRecorder {
     fn on_run_start(&mut self, info: &RunInfo<'_>) {
         self.header = Some((
             info.workload.to_string(),
@@ -350,7 +317,11 @@ impl MetricsRecorder for VecMetricsRecorder {
         ));
     }
 
-    fn on_epoch(&mut self, sample: &MetricsSample<'_>) {
+    fn wants_metrics(&self) -> bool {
+        true
+    }
+
+    fn on_epoch_end(&mut self, sample: &MetricsSample<'_>) {
         self.rows.push(MetricsRow::from_sample(sample));
     }
 }
@@ -390,7 +361,7 @@ impl<W: Write> JsonlMetricsRecorder<W> {
     }
 }
 
-impl<W: Write> MetricsRecorder for JsonlMetricsRecorder<W> {
+impl<W: Write> RunObserver for JsonlMetricsRecorder<W> {
     fn on_run_start(&mut self, info: &RunInfo<'_>) {
         self.write_line(&format!(
             "{{\"metrics\":\"run_start\",\"schema\":\"metrics-v1\",\
@@ -404,7 +375,11 @@ impl<W: Write> MetricsRecorder for JsonlMetricsRecorder<W> {
         ));
     }
 
-    fn on_epoch(&mut self, sample: &MetricsSample<'_>) {
+    fn wants_metrics(&self) -> bool {
+        true
+    }
+
+    fn on_epoch_end(&mut self, sample: &MetricsSample<'_>) {
         self.write_line(&sample.to_json());
     }
 
@@ -417,28 +392,34 @@ impl<W: Write> MetricsRecorder for JsonlMetricsRecorder<W> {
     }
 }
 
-/// Forwards every call to two recorders (tee).
+/// Forwards the metrics stream to two recorders (tee): run start, every
+/// sample, and finish. Boundary records and checkpoint requests are not
+/// forwarded.
 pub struct TeeMetricsRecorder<'a> {
-    a: &'a mut dyn MetricsRecorder,
-    b: &'a mut dyn MetricsRecorder,
+    a: &'a mut dyn RunObserver,
+    b: &'a mut dyn RunObserver,
 }
 
 impl<'a> TeeMetricsRecorder<'a> {
     /// Combines two recorders.
-    pub fn new(a: &'a mut dyn MetricsRecorder, b: &'a mut dyn MetricsRecorder) -> Self {
+    pub fn new(a: &'a mut dyn RunObserver, b: &'a mut dyn RunObserver) -> Self {
         TeeMetricsRecorder { a, b }
     }
 }
 
-impl MetricsRecorder for TeeMetricsRecorder<'_> {
+impl RunObserver for TeeMetricsRecorder<'_> {
     fn on_run_start(&mut self, info: &RunInfo<'_>) {
         self.a.on_run_start(info);
         self.b.on_run_start(info);
     }
 
-    fn on_epoch(&mut self, sample: &MetricsSample<'_>) {
-        self.a.on_epoch(sample);
-        self.b.on_epoch(sample);
+    fn wants_metrics(&self) -> bool {
+        self.a.wants_metrics() || self.b.wants_metrics()
+    }
+
+    fn on_epoch_end(&mut self, sample: &MetricsSample<'_>) {
+        self.a.on_epoch_end(sample);
+        self.b.on_epoch_end(sample);
     }
 
     fn finish(&mut self) {
@@ -517,7 +498,7 @@ mod tests {
             threads: 16,
             nodes: 4,
         });
-        rec.on_epoch(&s);
+        rec.on_epoch_end(&s);
         rec.finish();
         assert!(rec.error().is_none());
         let text = String::from_utf8(rec.into_inner()).unwrap();
@@ -562,7 +543,7 @@ mod tests {
                 epoch: e,
                 ..sample(&reqs, None)
             };
-            rec.on_epoch(&s);
+            rec.on_epoch_end(&s);
         }
         assert_eq!(rec.rows.len(), 4);
         assert!(rec.rows.windows(2).all(|w| w[0].epoch + 1 == w[1].epoch));
@@ -581,7 +562,7 @@ mod tests {
         }
         let reqs = [1u64];
         let mut rec = JsonlMetricsRecorder::new(Failing);
-        rec.on_epoch(&sample(&reqs, None));
+        rec.on_epoch_end(&sample(&reqs, None));
         rec.finish();
         assert!(rec.error().is_some());
     }

@@ -4,7 +4,7 @@ use crate::checkpoint::{self, Checkpoint};
 use crate::config::SimConfig;
 use crate::faults::FaultPlan;
 use crate::policy::{ActionError, EpochCtx, FailedAction, NumaPolicy, PolicyAction};
-use crate::recorder::{MetricsRecorder, MetricsSample, PageSnapshot, RunInfo};
+use crate::recorder::{MetricsSample, PageSnapshot, RunInfo};
 use crate::result::{
     AttributionLedger, EpochAttribution, EpochRecord, LifetimeStats, PageMetrics, RobustnessStats,
     SimResult,
@@ -20,32 +20,19 @@ use vmem::{
 };
 use workloads::{WorkloadGen, WorkloadSpec};
 
-/// Runs complete workloads under a policy and produces [`SimResult`]s.
+/// Runs complete workloads under a policy and produces [`SimResult`]s:
+/// thin whole-run wrappers over [`Run`].
 pub struct Simulation;
 
-/// Where in its lifecycle a run starts and stops (internal driver mode;
-/// the public entry points each select one).
-enum RunMode<'c> {
-    /// Start to finish — the normal run.
-    Full,
-    /// Run until the boundary that closes epoch `epoch`, snapshot into
-    /// `out`, and stop. No [`SimResult`] is produced and the trace sink is
-    /// **not** finished — the caller threads the same sink through the
-    /// subsequent [`RunMode::Resume`] phase, whose events continue exactly
-    /// where this phase stopped.
-    CheckpointAt {
-        epoch: u32,
-        out: &'c mut Option<Checkpoint>,
-    },
-    /// Restore state from `ckpt` and run from its epoch to completion.
-    /// `restore_policy` selects whether the policy's mutable state is
-    /// overwritten from the snapshot (a plain resume) or left as the caller
-    /// prepared it (a fork: the caller replayed a *different* policy up to
-    /// the checkpoint's boundary and wants the tail simulated under it).
-    Resume {
-        ckpt: &'c Checkpoint,
-        restore_policy: bool,
-    },
+/// The optional hooks of one [`Run`]: the per-event trace sink and the
+/// per-boundary observer. Both default to `None`; a plain run then builds
+/// no event and no boundary record.
+#[derive(Default)]
+pub struct Hooks<'a> {
+    /// Receives every simulation event.
+    pub trace: Option<&'a mut dyn TraceSink>,
+    /// Receives every epoch boundary.
+    pub observer: Option<&'a mut dyn RunObserver>,
 }
 
 /// Everything the policy saw and did at one epoch boundary, handed to a
@@ -76,25 +63,57 @@ pub struct EpochBoundary<'a> {
     pub fingerprint: u64,
 }
 
-/// Observes a run at epoch boundaries — the hook behind the bench runner's
-/// prefix-sharing fork tree. The observer receives every boundary's
-/// input/output record and may request a ckpt-v1 snapshot at any boundary
-/// with epoch ≥ 1 (the capture point that closes epoch `e-1` and begins
-/// epoch `e`). Attaching an observer never changes simulation results: the
-/// only side effect is that IBS sample storage stays on even for policies
-/// that don't consume samples, which the engine already guarantees is
-/// observationally neutral (the NMI count and its overhead are unchanged).
+/// Observes a run at its epoch boundaries: the one per-boundary hook
+/// beside the per-event [`TraceSink`]. It serves the bench runner's
+/// prefix-sharing fork tree (boundary records and checkpoint requests)
+/// and the flight recorder (per-epoch [`MetricsSample`]s, DESIGN.md §16).
+/// Every method has an empty default, so an observer implements only what
+/// it uses.
+///
+/// Attaching an observer never changes simulation results: every read
+/// the engine makes for it is `&self`, and the only side effect is that
+/// IBS sample storage stays on even for policies that don't consume
+/// samples, which the engine already guarantees is observationally neutral
+/// (the NMI count and its overhead are unchanged).
 pub trait RunObserver {
+    /// Called once when the run is built, by [`Run::resume`] as well as
+    /// [`Run::start`].
+    fn on_run_start(&mut self, _info: &RunInfo<'_>) {}
+
     /// Called at every epoch boundary, after the policy ran and before its
     /// actions are applied.
-    fn on_boundary(&mut self, b: &EpochBoundary<'_>);
-    /// Whether to capture a checkpoint at the boundary beginning `epoch`.
-    fn want_checkpoint(&mut self, epoch: u32) -> bool;
+    fn on_boundary(&mut self, _b: &EpochBoundary<'_>) {}
+
+    /// Whether this observer wants a [`MetricsSample`] at every boundary.
+    /// Read once, when the run is built. A sample aggregates the page
+    /// statistics, so an observer that charts nothing (the fork tree's
+    /// probe) leaves this `false` and pays nothing for it — the model is
+    /// [`NumaPolicy::consumes_samples`].
+    fn wants_metrics(&self) -> bool {
+        false
+    }
+
+    /// Called at every boundary when [`RunObserver::wants_metrics`] is
+    /// set: after the policy's actions were applied (so `epoch_cycles`
+    /// includes the boundary overhead), before the next epoch begins.
+    fn on_epoch_end(&mut self, _sample: &MetricsSample<'_>) {}
+
+    /// Whether [`Simulation::run_observed`] should capture a checkpoint at
+    /// the boundary beginning `epoch` (asked at every boundary with
+    /// epoch ≥ 1: the capture point that closes epoch `e-1`).
+    fn want_checkpoint(&mut self, _epoch: u32) -> bool {
+        false
+    }
+
     /// Receives the checkpoint requested by
     /// [`RunObserver::want_checkpoint`].
-    fn on_checkpoint(&mut self, ckpt: Checkpoint);
-}
+    fn on_checkpoint(&mut self, _ckpt: Checkpoint) {}
 
+    /// Called when the run completes ([`Run::finish`]): the flush point
+    /// for buffering observers. A run dropped after a checkpoint never
+    /// finishes.
+    fn finish(&mut self) {}
+}
 /// splitmix64 finalizer: a stride-proof mixing function for deterministic
 /// scatter decisions.
 #[inline]
@@ -169,7 +188,7 @@ impl ActionCosts {
 /// The address space as the simulation state sees it: owned by the serial
 /// driver, or a read-only view shared across shard lanes.
 ///
-/// Shard lanes only run epochs the gate in `run_internal` proved fault-free
+/// Shard lanes only run epochs the gate in [`Run::step_epoch`] proved fault-free
 /// and replica-free, so every space operation they reach is `&self`;
 /// [`SpaceRef::owned_mut`] on a shared view is a gate bug and panics.
 ///
@@ -202,10 +221,31 @@ impl SpaceRef<'_> {
     }
 }
 
-struct SimState<'m, 's, 't> {
-    machine: &'m MachineSpec,
+/// Per-run constants the access paths read, copied whole into every shard
+/// lane's state.
+#[derive(Clone, Copy)]
+struct Knobs {
     /// DRAM latency divisor from the workload's memory-level parallelism.
     mlp: u64,
+    /// Lifetime L2-TLB hit-cycle cost knob.
+    l2_tlb_hit_cycles: u32,
+    /// Extra fault cycles per concurrently-faulting sibling this round.
+    fault_contention: u64,
+    threads: usize,
+    /// Batched fast path enabled (default; `CARREFOUR_NO_FASTPATH=1`
+    /// falls back to the per-op path, which is bit-identical).
+    fast_on: bool,
+    /// Node count (stride of the `fast_uncached` matrix).
+    fast_nodes: usize,
+    /// log2 of the L1 line size, for same-line detection.
+    l1_line_shift: u32,
+    /// L1 hit latency in cycles (the outcome of a stable hit).
+    l1_latency: u32,
+}
+
+struct SimState<'m, 's, 't> {
+    machine: &'m MachineSpec,
+    knobs: Knobs,
     mem: MemorySystem,
     space: SpaceRef<'s>,
     /// Host-side memos of the radix walk, keyed per 2 MiB region — one per
@@ -221,11 +261,6 @@ struct SimState<'m, 's, 't> {
     fault_epoch: Vec<u64>,
     /// Per-core fault cycles, lifetime.
     fault_life: Vec<u64>,
-    /// Lifetime L2-TLB hit-cycle cost knob.
-    l2_tlb_hit_cycles: u32,
-    /// Extra fault cycles per concurrently-faulting sibling this round.
-    fault_contention: u64,
-    threads: usize,
     /// Fault injector (inert unless the config enables it).
     faults: FaultPlan,
     /// Failure-and-recovery accounting for the run.
@@ -235,9 +270,6 @@ struct SimState<'m, 's, 't> {
     trace: Option<&'t mut dyn TraceSink>,
     /// Index of the epoch currently accumulating (for event attribution).
     epoch: u32,
-    /// Batched fast path enabled (default; `CARREFOUR_NO_FASTPATH=1`
-    /// falls back to the per-op path, which is bit-identical).
-    fast_on: bool,
     /// Epoch-scoped memo of uncached-access outcomes per
     /// `(from_node, home_node)` pair. Within an epoch the outcome is a pure
     /// function of the pair (controller and link delays only change at
@@ -247,12 +279,6 @@ struct SimState<'m, 's, 't> {
     /// Per-home-node pending uncached accesses of the block in flight,
     /// flushed via [`MemorySystem::charge_uncached_n`] at block end.
     fast_pending: Vec<u64>,
-    /// Node count (stride of the `fast_uncached` matrix).
-    fast_nodes: usize,
-    /// log2 of the L1 line size, for same-line detection.
-    l1_line_shift: u32,
-    /// L1 hit latency in cycles (the outcome of a stable hit).
-    l1_latency: u32,
 }
 
 /// Maps a vmem error to the action-level error a policy sees.
@@ -296,16 +322,16 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
         let mapping = match self.tlbs[thread].lookup(vaddr) {
             TlbLookup::HitL1(m) => m,
             TlbLookup::HitL2(m) => {
-                cycles += u64::from(self.l2_tlb_hit_cycles);
+                cycles += u64::from(self.knobs.l2_tlb_hit_cycles);
                 if let Some(b) = bd.as_deref_mut() {
-                    b.tlb_lookup += u64::from(self.l2_tlb_hit_cycles);
+                    b.tlb_lookup += u64::from(self.knobs.l2_tlb_hit_cycles);
                 }
                 m
             }
             TlbLookup::Miss => {
-                cycles += u64::from(self.l2_tlb_hit_cycles);
+                cycles += u64::from(self.knobs.l2_tlb_hit_cycles);
                 if let Some(b) = bd.as_deref_mut() {
-                    b.tlb_lookup += u64::from(self.l2_tlb_hit_cycles);
+                    b.tlb_lookup += u64::from(self.knobs.l2_tlb_hit_cycles);
                 }
                 let (m, remote) = self.walk_and_maybe_fault(
                     thread,
@@ -357,7 +383,7 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
             // Prefetchers hide sequential latency; independent misses
             // overlap by the workload's MLP. Requests still occupy the
             // controller either way (counted above).
-            let overlap = if op.prefetched { 4 } else { self.mlp };
+            let overlap = if op.prefetched { 4 } else { self.knobs.mlp };
             cycles += u64::from(out.cycles) / overlap;
             if let Some(b) = bd.as_deref_mut() {
                 charge_access(b, &out, overlap);
@@ -488,7 +514,7 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
             }
         };
         let contenders = faulting_threads.saturating_sub(1).min(48) as u64;
-        let contention = self.fault_contention * contenders;
+        let contention = self.knobs.fault_contention * contenders;
         let cost = fault.cycles + contention;
         *cycles += cost;
         if let Some(b) = bd {
@@ -505,6 +531,24 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
             thread: thread as u16,
         });
         (fault.mapping, remote_steps)
+    }
+
+    /// Lifetime TLB (L1 hits, L2 hits, misses) and walk-cache (hits,
+    /// misses) totals, summed over threads.
+    fn tlb_walk_totals(&self) -> ([u64; 3], [u64; 2]) {
+        let mut tlb = [0u64; 3];
+        for t in &self.tlbs {
+            let s = t.stats();
+            tlb[0] += s.l1_hits;
+            tlb[1] += s.l2_hits;
+            tlb[2] += s.misses;
+        }
+        let mut walk = [0u64; 2];
+        for w in &self.walk_caches {
+            walk[0] += w.hits();
+            walk[1] += w.misses();
+        }
+        (tlb, walk)
     }
 
     /// Invalidates one page's entry in every core's TLB (shootdown).
@@ -551,7 +595,7 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
         faulting_threads: usize,
         mut bd: Option<&mut CycleBreakdown>,
     ) -> u64 {
-        if !self.fast_on {
+        if !self.knobs.fast_on {
             let mut c: u64 = 0;
             for &op in ops {
                 c += self.run_op(thread, op, faulting_threads, bd.as_deref_mut());
@@ -560,8 +604,8 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
         }
         let core = CoreId::from(thread);
         let node = self.machine.node_of_core(core);
-        let nodes = self.fast_nodes;
-        let line_shift = self.l1_line_shift;
+        let nodes = self.knobs.fast_nodes;
+        let line_shift = self.knobs.l1_line_shift;
         let mut cycles_total: u64 = 0;
         // IBS skip-ahead locals, synced at sample points and at block end.
         let mut until = self.sampler.until_next();
@@ -580,16 +624,16 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
             let mapping = match self.tlbs[thread].lookup(vaddr) {
                 TlbLookup::HitL1(m) => m,
                 TlbLookup::HitL2(m) => {
-                    cycles += u64::from(self.l2_tlb_hit_cycles);
+                    cycles += u64::from(self.knobs.l2_tlb_hit_cycles);
                     if let Some(b) = bd.as_deref_mut() {
-                        b.tlb_lookup += u64::from(self.l2_tlb_hit_cycles);
+                        b.tlb_lookup += u64::from(self.knobs.l2_tlb_hit_cycles);
                     }
                     m
                 }
                 TlbLookup::Miss => {
-                    cycles += u64::from(self.l2_tlb_hit_cycles);
+                    cycles += u64::from(self.knobs.l2_tlb_hit_cycles);
                     if let Some(b) = bd.as_deref_mut() {
-                        b.tlb_lookup += u64::from(self.l2_tlb_hit_cycles);
+                        b.tlb_lookup += u64::from(self.knobs.l2_tlb_hit_cycles);
                     }
                     let (m, remote) = self.walk_and_maybe_fault(
                         thread,
@@ -650,7 +694,7 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
                 if stable_line == Some(line) {
                     pending_l1 += 1;
                     AccessOutcome {
-                        cycles: self.l1_latency,
+                        cycles: self.knobs.l1_latency,
                         level: ServiceLevel::L1,
                         from_node: node,
                         home_node: mapping.node,
@@ -666,7 +710,7 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
                 }
             };
             if out.dram() {
-                let overlap = if op.prefetched { 4 } else { self.mlp };
+                let overlap = if op.prefetched { 4 } else { self.knobs.mlp };
                 cycles += u64::from(out.cycles) / overlap;
                 if let Some(b) = bd.as_deref_mut() {
                     charge_access(b, &out, overlap);
@@ -966,7 +1010,6 @@ impl<'m, 's, 't> SimState<'m, 's, 't> {
         (migrations, splits, costs)
     }
 }
-
 impl Simulation {
     /// Runs `spec` on `machine` under `policy` and returns the results.
     ///
@@ -983,7 +1026,7 @@ impl Simulation {
         config: &SimConfig,
         policy: &mut dyn NumaPolicy,
     ) -> SimResult {
-        Simulation::run_with_setup_traced(machine, spec, config, policy, |_| {}, None)
+        Run::start(machine, spec, config, policy, Hooks::default()).finish()
     }
 
     /// Like [`Simulation::run`], but streams every simulation event into
@@ -996,51 +1039,20 @@ impl Simulation {
         policy: &mut dyn NumaPolicy,
         sink: &mut dyn TraceSink,
     ) -> SimResult {
-        Simulation::run_with_setup_traced(machine, spec, config, policy, |_| {}, Some(sink))
-    }
-
-    /// Like [`Simulation::run`], but calls `setup` on the freshly built
-    /// address space before the workload starts — for experiments that need
-    /// pre-conditions such as deliberately fragmented physical memory.
-    pub fn run_with_setup(
-        machine: &MachineSpec,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        policy: &mut dyn NumaPolicy,
-        setup: impl FnOnce(&mut AddressSpace),
-    ) -> SimResult {
-        Simulation::run_with_setup_traced(machine, spec, config, policy, setup, None)
-    }
-
-    /// The full-featured entry point: optional address-space `setup` and an
-    /// optional trace `sink` ([`Simulation::run`], [`Simulation::run_traced`]
-    /// and [`Simulation::run_with_setup`] all delegate here).
-    pub fn run_with_setup_traced(
-        machine: &MachineSpec,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        policy: &mut dyn NumaPolicy,
-        setup: impl FnOnce(&mut AddressSpace),
-        sink: Option<&mut dyn TraceSink>,
-    ) -> SimResult {
-        Simulation::run_internal(
-            machine,
-            spec,
-            config,
-            policy,
-            setup,
-            sink,
-            None,
-            None,
-            RunMode::Full,
-        )
-        .expect("a full run always produces a result")
+        let hooks = Hooks {
+            trace: Some(sink),
+            observer: None,
+        };
+        Run::start(machine, spec, config, policy, hooks).finish()
     }
 
     /// Like [`Simulation::run_traced`] (the `sink` is optional), with a
-    /// [`RunObserver`] attached: the observer sees every epoch boundary's
-    /// policy inputs/outputs and may capture checkpoints at boundaries.
-    /// Results are bit-identical to an unobserved run.
+    /// [`RunObserver`] attached: the observer sees every epoch boundary and
+    /// may capture a checkpoint at any boundary with epoch ≥ 1
+    /// ([`RunObserver::want_checkpoint`]). Capturing at every boundary in
+    /// one pass is what lets the fork tree snapshot a whole probe run
+    /// instead of re-running it O(epochs) times. Results are bit-identical
+    /// to an unobserved run.
     pub fn run_observed(
         machine: &MachineSpec,
         spec: &WorkloadSpec,
@@ -1049,201 +1061,150 @@ impl Simulation {
         sink: Option<&mut dyn TraceSink>,
         observer: &mut dyn RunObserver,
     ) -> SimResult {
-        Simulation::run_internal(
-            machine,
-            spec,
-            config,
-            policy,
-            |_| {},
-            sink,
-            Some(observer),
-            None,
-            RunMode::Full,
-        )
-        .expect("a full run always produces a result")
+        let hooks = Hooks {
+            trace: sink.map(|s| s as &mut dyn TraceSink),
+            observer: Some(observer),
+        };
+        let mut run = Run::start(machine, spec, config, policy, hooks);
+        while run.step_epoch() {
+            let epoch = run.epoch();
+            let observer = run.observer.as_deref_mut();
+            if observer.is_some_and(|o| o.want_checkpoint(epoch)) {
+                let ckpt = run.checkpoint();
+                if let Some(o) = run.observer.as_deref_mut() {
+                    o.on_checkpoint(ckpt);
+                }
+            }
+        }
+        run.finish()
     }
+}
 
-    /// Like [`Simulation::run_traced`] (the `sink` is optional), with a
-    /// [`crate::MetricsRecorder`] attached: the recorder receives one
-    /// [`crate::MetricsSample`] per epoch boundary — the flight recorder's
-    /// per-epoch time-series (DESIGN.md §16). Recording is purely
-    /// observational: the returned [`SimResult`] (ledger and trace digest
-    /// included) is bit-identical to an unrecorded run of the same inputs,
-    /// which `carrefour-bench/tests/metrics_equivalence.rs` proptests.
-    pub fn run_recorded(
-        machine: &MachineSpec,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        policy: &mut dyn NumaPolicy,
-        sink: Option<&mut dyn TraceSink>,
-        recorder: &mut dyn MetricsRecorder,
-    ) -> SimResult {
-        Simulation::run_internal(
-            machine,
-            spec,
-            config,
-            policy,
-            |_| {},
-            sink,
-            None,
-            Some(recorder),
-            RunMode::Full,
-        )
-        .expect("a full run always produces a result")
+/// Wall-clock and op totals plus the attribution ledger in progress: the
+/// loop-carried values a round merge and an epoch boundary update.
+struct Totals {
+    wall: u64,
+    epoch_wall: u64,
+    epoch_ops: u64,
+    total_ops: u64,
+    overhead_total: u64,
+    /// `None` when attribution is off: every charge site then costs one
+    /// branch, which keeps the hot path allocation-free and the default
+    /// run untouched.
+    ledger: Option<Ledger>,
+}
+
+/// The attribution ledger of a run in progress.
+struct Ledger {
+    prelude: CycleBreakdown,
+    /// The current epoch's wall breakdown.
+    epoch_wall: CycleBreakdown,
+    /// The current epoch's per-core breakdowns.
+    cores: Vec<CycleBreakdown>,
+    core_totals: Vec<CycleBreakdown>,
+    epochs: Vec<EpochAttribution>,
+}
+
+impl Totals {
+    /// Folds one finished round into the run — the single merge rule of
+    /// the serial and the sharded loop. `t_cycles[t]` is thread `t`'s
+    /// cycle total for the round and `bds[t]` its breakdown (ignored when
+    /// attribution is off); the breakdowns are reset for the next round.
+    fn merge_round(&mut self, t_cycles: &[u64], bds: &mut [CycleBreakdown], round_ops: u64) {
+        let slowest = t_cycles.iter().copied().max().unwrap_or(0);
+        if let Some(l) = self.ledger.as_mut() {
+            // The round's wall time is the slowest thread's time: its
+            // breakdown *is* the round's wall breakdown. Ties are safe —
+            // any thread achieving the max has a breakdown summing to
+            // exactly `slowest` — but take the first for determinism.
+            if let Some(wi) = t_cycles.iter().position(|&c| c == slowest) {
+                l.epoch_wall.add(&bds[wi]);
+            }
+            for (cb, rb) in l.cores.iter_mut().zip(bds.iter_mut()) {
+                cb.add(rb);
+                *rb = CycleBreakdown::default();
+            }
+        }
+        self.epoch_ops += round_ops;
+        self.total_ops += round_ops;
+        self.wall += slowest;
+        self.epoch_wall += slowest;
     }
+}
 
-    /// Runs like [`Simulation::run`] until the epoch boundary that begins
-    /// epoch `epoch`, then snapshots into a [`Checkpoint`] and stops —
-    /// [`Simulation::resume`] continues from it bit-identically. Returns
-    /// `None` when the run completes before reaching `epoch` (the run then
-    /// executed in full; no snapshot exists).
-    pub fn checkpoint_at(
-        machine: &MachineSpec,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        policy: &mut dyn NumaPolicy,
-        epoch: u32,
-    ) -> Option<Checkpoint> {
-        Simulation::checkpoint_at_traced(machine, spec, config, policy, |_| {}, None, epoch)
-    }
+/// One simulation run, stepped an epoch at a time — the engine's only
+/// driver. A `Run` owns every loop-carried value, so between steps it
+/// always sits at an epoch boundary: [`Run::checkpoint`] snapshots it
+/// there and [`Run::resume`] continues from the snapshot bit-identically,
+/// in this process or another.
+///
+/// ```
+/// use engine::{Hooks, NullPolicy, Run, SimConfig, Simulation};
+/// use numa_topology::MachineSpec;
+/// use workloads::Benchmark;
+///
+/// let machine = MachineSpec::machine_a();
+/// let config = SimConfig::fast_test();
+/// let spec = Benchmark::Kmeans.spec(&machine);
+/// let (mut first, mut second) = (NullPolicy, NullPolicy);
+///
+/// // Run to the boundary that begins epoch 1, snapshot, and stop.
+/// let mut run = Run::start(&machine, &spec, &config, &mut first, Hooks::default());
+/// assert!(run.step_to(1));
+/// let ckpt = run.checkpoint();
+///
+/// // A resumed run finishes exactly as the uninterrupted one does.
+/// let resumed = Run::resume(&machine, &spec, &config, &mut second, Hooks::default(), &ckpt, true);
+/// let whole = Simulation::run(&machine, &spec, &config, &mut NullPolicy);
+/// assert_eq!(resumed.finish(), whole);
+/// ```
+pub struct Run<'a> {
+    machine: &'a MachineSpec,
+    spec: &'a WorkloadSpec,
+    config: &'a SimConfig,
+    policy: &'a mut dyn NumaPolicy,
+    observer: Option<&'a mut dyn RunObserver>,
+    /// The observer asked for a [`MetricsSample`] per boundary.
+    metrics_on: bool,
+    st: SimState<'a, 'a, 'a>,
+    gen: WorkloadGen,
+    totals: Totals,
+    epochs: Vec<EpochRecord>,
+    /// Failed actions of the previous epoch, fed back to the policy on
+    /// fault-injected runs (never on fault-free runs, so a policy's
+    /// retry machinery stays dormant and zero-fault behaviour is
+    /// bit-identical to the pre-fault-layer engine).
+    last_failures: Vec<FailedAction>,
+    /// First round of the next epoch; `total_rounds` once the run is done.
+    round: u32,
+    total_rounds: u32,
+    /// Requested shard lanes (0 = auto) and the per-node thread groups
+    /// they partition (DESIGN.md §14).
+    shard_request: u32,
+    node_groups: Vec<LaneGroup>,
+    /// Reusable op buffer: one block of the access stream at a time.
+    block: Vec<workloads::Op>,
+    /// Per-thread breakdowns of the serial round in flight (empty when
+    /// attribution is off).
+    round_bds: Vec<CycleBreakdown>,
+    /// Lifetime TLB and walk-cache totals at the previous boundary
+    /// ([`SimState::tlb_walk_totals`]): metric samples report per-epoch
+    /// deltas of these lifetime counters.
+    metrics_prev: ([u64; 3], [u64; 2]),
+}
 
-    /// [`Simulation::checkpoint_at`] with address-space `setup` and a trace
-    /// `sink`. When a checkpoint is taken the sink is **not** finished:
-    /// thread the same sink through [`Simulation::resume_traced`] and the
-    /// combined event stream (and digest) equals an uninterrupted traced
-    /// run's.
-    pub fn checkpoint_at_traced(
-        machine: &MachineSpec,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        policy: &mut dyn NumaPolicy,
+impl<'a> Run<'a> {
+    /// Builds the run's state, announces it to the observer, and leaves it
+    /// before the prelude: the half [`Run::start`] and [`Run::resume`]
+    /// share.
+    fn new(
+        machine: &'a MachineSpec,
+        spec: &'a WorkloadSpec,
+        config: &'a SimConfig,
+        policy: &'a mut dyn NumaPolicy,
+        hooks: Hooks<'a>,
         setup: impl FnOnce(&mut AddressSpace),
-        sink: Option<&mut dyn TraceSink>,
-        epoch: u32,
-    ) -> Option<Checkpoint> {
-        let mut out = None;
-        Simulation::run_internal(
-            machine,
-            spec,
-            config,
-            policy,
-            setup,
-            sink,
-            None,
-            None,
-            RunMode::CheckpointAt {
-                epoch,
-                out: &mut out,
-            },
-        );
-        out
-    }
-
-    /// Continues a run from `ckpt` to completion. The checkpoint must come
-    /// from the same machine/spec/config (asserted via its fingerprint), and
-    /// `policy` must be a freshly constructed instance of the same policy —
-    /// its mutable state is restored via [`NumaPolicy::restore_state`]. The
-    /// result is bit-identical to an uninterrupted run's.
-    pub fn resume(
-        machine: &MachineSpec,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        policy: &mut dyn NumaPolicy,
-        ckpt: &Checkpoint,
-    ) -> SimResult {
-        Simulation::resume_traced(machine, spec, config, policy, |_| {}, None, ckpt)
-    }
-
-    /// [`Simulation::resume`] with `setup` and a trace `sink`; the events
-    /// emitted continue exactly where the checkpointing phase stopped.
-    pub fn resume_traced(
-        machine: &MachineSpec,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        policy: &mut dyn NumaPolicy,
-        setup: impl FnOnce(&mut AddressSpace),
-        sink: Option<&mut dyn TraceSink>,
-        ckpt: &Checkpoint,
-    ) -> SimResult {
-        Simulation::run_internal(
-            machine,
-            spec,
-            config,
-            policy,
-            setup,
-            sink,
-            None,
-            None,
-            RunMode::Resume {
-                ckpt,
-                restore_policy: true,
-            },
-        )
-        .expect("a resumed run always produces a result")
-    }
-
-    /// Continues a run from `ckpt` under a policy whose state the *caller*
-    /// prepared — the fork half of the runner's prefix-sharing tree. Unlike
-    /// [`Simulation::resume`], the policy's mutable state is **not**
-    /// restored from the snapshot: `policy` must already be in the state a
-    /// policy has after exactly `ckpt.epoch()` `on_epoch` calls (epochs
-    /// `0..ckpt.epoch()`), which the fork tree establishes by replaying the
-    /// recorded boundary inputs against a freshly constructed instance.
-    /// Everything else (address space, caches, sampler, fault state, RNGs)
-    /// is restored from the snapshot as usual.
-    pub fn resume_forked(
-        machine: &MachineSpec,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        policy: &mut dyn NumaPolicy,
-        ckpt: &Checkpoint,
-    ) -> SimResult {
-        Simulation::resume_forked_traced(machine, spec, config, policy, None, ckpt)
-    }
-
-    /// [`Simulation::resume_forked`] with a trace `sink`; events continue
-    /// from the checkpoint's boundary exactly as [`Simulation::resume_traced`]'s do.
-    pub fn resume_forked_traced(
-        machine: &MachineSpec,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        policy: &mut dyn NumaPolicy,
-        sink: Option<&mut dyn TraceSink>,
-        ckpt: &Checkpoint,
-    ) -> SimResult {
-        Simulation::run_internal(
-            machine,
-            spec,
-            config,
-            policy,
-            |_| {},
-            sink,
-            None,
-            None,
-            RunMode::Resume {
-                ckpt,
-                restore_policy: false,
-            },
-        )
-        .expect("a resumed run always produces a result")
-    }
-
-    /// The single driver behind every public entry point; `mode` selects
-    /// where the run starts (fresh or from a snapshot) and whether it stops
-    /// early at a checkpoint boundary. Returns `None` exactly when a
-    /// requested checkpoint was taken.
-    #[allow(clippy::too_many_arguments)]
-    fn run_internal(
-        machine: &MachineSpec,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        policy: &mut dyn NumaPolicy,
-        setup: impl FnOnce(&mut AddressSpace),
-        sink: Option<&mut dyn TraceSink>,
-        mut observer: Option<&mut dyn RunObserver>,
-        mut recorder: Option<&mut dyn MetricsRecorder>,
-        mut mode: RunMode<'_>,
-    ) -> Option<SimResult> {
+    ) -> Self {
         assert!(
             spec.threads <= machine.total_cores(),
             "workload wants {} threads, machine has {} cores",
@@ -1251,7 +1212,7 @@ impl Simulation {
             machine.total_cores()
         );
 
-        let mut gen = WorkloadGen::new(spec, config.seed);
+        let gen = WorkloadGen::new(spec, config.seed);
         let mut space = AddressSpace::new(machine, config.vmem);
         for r in &spec.regions {
             // Overlapping or unaligned regions are a workload-spec bug, not
@@ -1269,7 +1230,16 @@ impl Simulation {
         let nodes = machine.num_nodes();
         let mut st = SimState {
             machine,
-            mlp: u64::from(spec.mlp.max(1)),
+            knobs: Knobs {
+                mlp: u64::from(spec.mlp.max(1)),
+                l2_tlb_hit_cycles: config.vmem.tlb.l2_hit_cycles,
+                fault_contention: config.vmem.costs.fault_contention_per_thread,
+                threads: spec.threads,
+                fast_on,
+                fast_nodes: nodes,
+                l1_line_shift: config.memsys.l1.line_bytes.trailing_zeros(),
+                l1_latency: config.memsys.l1_latency,
+            },
             mem: MemorySystem::new(machine, config.memsys.clone()),
             space: SpaceRef::Owned(space),
             walk_caches: (0..spec.threads).map(|_| WalkCache::new()).collect(),
@@ -1280,82 +1250,26 @@ impl Simulation {
             page_stats: config.track_page_stats.then(PageAccessStats::new),
             fault_epoch: vec![0; spec.threads],
             fault_life: vec![0; spec.threads],
-            l2_tlb_hit_cycles: config.vmem.tlb.l2_hit_cycles,
-            fault_contention: config.vmem.costs.fault_contention_per_thread,
-            threads: spec.threads,
             faults: FaultPlan::new(&config.faults),
             robust: RobustnessStats::default(),
-            trace: sink,
+            trace: hooks.trace,
             epoch: 0,
-            fast_on,
             fast_uncached: vec![None; nodes * nodes],
             fast_pending: vec![0; nodes],
-            fast_nodes: nodes,
-            l1_line_shift: config.memsys.l1.line_bytes.trailing_zeros(),
-            l1_latency: config.memsys.l1_latency,
         };
+        let mut observer = hooks.observer;
         // A policy that never reads samples (and no fault filter to feed)
         // makes sample storage dead work: elide it. The NMI count and its
         // overhead are unchanged, so results are bit-identical. An attached
-        // observer needs the stored samples (its boundary records feed
-        // sibling policies that may consume them), so it keeps storage on —
-        // which, per the same argument, never changes results.
+        // observer may need the stored samples (the fork tree's boundary
+        // records feed sibling policies that may consume them), so it keeps
+        // storage on — which, per the same argument, never changes results.
         if !policy.consumes_samples() && !st.faults.is_active() && observer.is_none() {
             st.sampler.set_store(false);
         }
-        let total_rounds = gen.total_rounds();
-        let think = u64::from(spec.think_cycles_per_op);
-
-        // Shard-lane plan. The natural shard grain is the NUMA node group:
-        // thread t runs on core t, cores are numbered node-major, and both
-        // the L3 and the IBS sample store are per-node, so grouping threads
-        // by node keeps every piece of cache/sampler state owned by exactly
-        // one lane. An explicit count (env var beats config) is capped at
-        // the node-group count; auto (0) asks the process-wide lane pool at
-        // every epoch boundary, so lanes donated mid-suite are picked up at
-        // the next chunk. The lane count NEVER affects results — only how
-        // many OS threads compute them (DESIGN.md §14).
-        let shard_request = env_override_u32("CARREFOUR_SHARDS").unwrap_or(config.shards);
-        let node_groups = lane_node_groups(machine, spec.threads);
-
-        // Loop-carried run state, declared before the mode branch so a
-        // resume can overwrite all of it from the snapshot.
-        let mut wall: u64 = 0;
-        let mut epoch_wall: u64 = 0;
-        let mut epoch_ops: u64 = 0;
-        let mut total_ops: u64 = 0;
-        let mut overhead_total: u64 = 0;
-        let mut epochs: Vec<EpochRecord> = Vec::new();
-        let mut epoch_index: u32 = 0;
-        // Failed actions of the previous epoch, fed back to the policy on
-        // fault-injected runs (never on fault-free runs, so a policy's
-        // retry machinery stays dormant and zero-fault behaviour is
-        // bit-identical to the pre-fault-layer engine).
-        let mut last_failures: Vec<FailedAction> = Vec::new();
-
-        // Attribution ledger state. All of it stays empty (and costs one
-        // branch per charge site) when attribution is off, which keeps the
-        // hot path allocation-free and the default run untouched.
-        let attrib_on = config.attribution;
-        let attrib_threads = if attrib_on { spec.threads } else { 0 };
-        let mut prelude_bd = CycleBreakdown::default();
-        let mut epoch_wall_bd = CycleBreakdown::default();
-        let mut round_bds = vec![CycleBreakdown::default(); attrib_threads];
-        let mut core_bds = vec![CycleBreakdown::default(); attrib_threads];
-        let mut core_totals = vec![CycleBreakdown::default(); attrib_threads];
-        let mut attrib_epochs: Vec<EpochAttribution> = Vec::new();
-
-        // Flight-recorder state (DESIGN.md §16). TLB and walk-cache
-        // counters are lifetime-cumulative, so per-epoch rates need the
-        // previous boundary's totals — tracked only inside the recorder
-        // guard; an unrecorded run pays one `Option` test per boundary
-        // and nothing else. Every recorder read is `&self` (counters
-        // already computed, page-stat aggregation, policy introspection),
-        // so recorded runs stay bit-identical to unrecorded ones.
-        let mut rec_prev_tlb = (0u64, 0u64, 0u64);
-        let mut rec_prev_walk = (0u64, 0u64);
-        if let Some(rec) = recorder.as_deref_mut() {
-            rec.on_run_start(&RunInfo {
+        let metrics_on = observer.as_deref().is_some_and(|o| o.wants_metrics());
+        if let Some(obs) = observer.as_deref_mut() {
+            obs.on_run_start(&RunInfo {
                 workload: &spec.name,
                 policy: policy.name(),
                 machine: machine.name(),
@@ -1364,527 +1278,745 @@ impl Simulation {
             });
         }
 
-        if let RunMode::Resume {
-            ckpt,
-            restore_policy,
-        } = &mode
+        let attrib_threads = if config.attribution { spec.threads } else { 0 };
+        Run {
+            machine,
+            spec,
+            config,
+            policy,
+            observer,
+            metrics_on,
+            st,
+            totals: Totals {
+                wall: 0,
+                epoch_wall: 0,
+                epoch_ops: 0,
+                total_ops: 0,
+                overhead_total: 0,
+                ledger: config.attribution.then(|| Ledger {
+                    prelude: CycleBreakdown::default(),
+                    epoch_wall: CycleBreakdown::default(),
+                    cores: vec![CycleBreakdown::default(); attrib_threads],
+                    core_totals: vec![CycleBreakdown::default(); attrib_threads],
+                    epochs: Vec::new(),
+                }),
+            },
+            epochs: Vec::new(),
+            last_failures: Vec::new(),
+            round: 0,
+            total_rounds: gen.total_rounds(),
+            gen,
+            // Shard-lane plan. The natural shard grain is the NUMA node
+            // group: thread t runs on core t, cores are numbered
+            // node-major, and both the L3 and the IBS sample store are
+            // per-node, so grouping threads by node keeps every piece of
+            // cache/sampler state owned by exactly one lane. An explicit
+            // count (env var beats config) is capped at the node-group
+            // count; auto (0) asks the process-wide lane pool at every
+            // epoch boundary, so lanes donated mid-suite are picked up at
+            // the next chunk. The lane count NEVER affects results — only
+            // how many OS threads compute them (DESIGN.md §14).
+            shard_request: env_override_u32("CARREFOUR_SHARDS").unwrap_or(config.shards),
+            node_groups: lane_node_groups(machine, spec.threads),
+            block: Vec::new(),
+            round_bds: vec![CycleBreakdown::default(); attrib_threads],
+            metrics_prev: ([0; 3], [0; 2]),
+        }
+    }
+
+    /// Starts a run: builds the machine state, then runs the serial
+    /// prelude, leaving the run at the boundary that begins epoch 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec has more threads than the machine has cores.
+    pub fn start(
+        machine: &'a MachineSpec,
+        spec: &'a WorkloadSpec,
+        config: &'a SimConfig,
+        policy: &'a mut dyn NumaPolicy,
+        hooks: Hooks<'a>,
+    ) -> Self {
+        Run::start_with_setup(machine, spec, config, policy, hooks, |_| {})
+    }
+
+    /// Like [`Run::start`], but calls `setup` on the freshly built address
+    /// space before the workload starts — for experiments that need
+    /// pre-conditions such as deliberately fragmented physical memory.
+    pub fn start_with_setup(
+        machine: &'a MachineSpec,
+        spec: &'a WorkloadSpec,
+        config: &'a SimConfig,
+        policy: &'a mut dyn NumaPolicy,
+        hooks: Hooks<'a>,
+        setup: impl FnOnce(&mut AddressSpace),
+    ) -> Self {
+        let mut run = Run::new(machine, spec, config, policy, hooks, setup);
+        let st = &mut run.st;
+        st.emit(|| TraceEvent::RunStart {
+            workload: spec.name.clone(),
+            policy: run.policy.name().to_string(),
+            machine: machine.name().to_string(),
+            seed: config.seed,
+        });
         {
-            assert!(
-                ckpt.matches(machine, spec, config),
-                "checkpoint was taken under a different machine/spec/config"
-            );
-            restore_checkpoint(
-                ckpt,
-                policy,
-                *restore_policy,
-                &mut gen,
-                &mut st,
-                &mut wall,
-                &mut total_ops,
-                &mut overhead_total,
-                &mut epochs,
-                &mut last_failures,
-                attrib_on,
-                &mut prelude_bd,
-                &mut core_totals,
-                &mut attrib_epochs,
-            );
-            epoch_index = ckpt.epoch();
-            st.epoch = epoch_index;
+            // Pins expire and pressure events apply at epoch boundaries;
+            // epoch 0 covers a pressure event scheduled before the run.
+            let SimState { faults, space, .. } = &mut *st;
+            faults.begin_epoch(0, space.owned_mut());
+        }
+
+        // Serial prelude: the loader thread's header touches run alone
+        // before the parallel phase (a program's sequential setup).
+        let think = u64::from(spec.think_cycles_per_op);
+        let mut prelude_cycles: u64 = 0;
+        for &vaddr in run.gen.prelude() {
+            let op = workloads::Op {
+                vaddr,
+                is_write: true,
+                coherent_store: false,
+                prefetched: false,
+            };
+            let bd = run.totals.ledger.as_mut().map(|l| &mut l.prelude);
+            prelude_cycles += st.run_op(0, op, 1, bd) + think;
+            if let Some(l) = run.totals.ledger.as_mut() {
+                l.prelude.compute += think;
+            }
+        }
+        run.totals.wall += prelude_cycles;
+        run
+    }
+
+    /// Rebuilds a run from `ckpt`, at the boundary the snapshot was taken.
+    /// The checkpoint must come from the same machine/spec/config
+    /// (asserted via its fingerprint). With `restore_policy`, `policy` must
+    /// be a freshly constructed instance of the snapshot's policy; its
+    /// mutable state is restored via [`NumaPolicy::restore_state`], and the
+    /// finished run is bit-identical to an uninterrupted one.
+    ///
+    /// Without it — a fork, the fork tree's resume — the policy is left as
+    /// the caller prepared it: it must already be in the state a policy has
+    /// after exactly `ckpt.epoch()` `on_epoch` calls, which the fork tree
+    /// establishes by replaying recorded boundary inputs against a fresh
+    /// instance. The snapshot's policy bytes belong to the probe policy,
+    /// not the sibling about to run the tail. Everything else (address
+    /// space, caches, sampler, fault state, RNGs) is restored either way.
+    ///
+    /// The trace sink sees the events of the remaining epochs only: thread
+    /// the sink of the checkpointing run through, and the combined stream
+    /// (and digest) equals an uninterrupted traced run's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the checkpoint was taken under a different machine, spec
+    /// or config.
+    pub fn resume(
+        machine: &'a MachineSpec,
+        spec: &'a WorkloadSpec,
+        config: &'a SimConfig,
+        policy: &'a mut dyn NumaPolicy,
+        hooks: Hooks<'a>,
+        ckpt: &Checkpoint,
+        restore_policy: bool,
+    ) -> Self {
+        let mut run = Run::new(machine, spec, config, policy, hooks, |_| {});
+        assert!(
+            ckpt.matches(machine, spec, config),
+            "checkpoint was taken under a different machine/spec/config"
+        );
+        run.restore(ckpt, restore_policy);
+        run.st.epoch = ckpt.epoch();
+        // Epochs 0..epoch already ran before the snapshot: restart at the
+        // restored epoch's first round. The `min` covers a checkpoint taken
+        // at the boundary after the final (possibly short) epoch — the run
+        // is then already done and only `finish` remains.
+        run.round = (u64::from(run.st.epoch) * u64::from(config.rounds_per_epoch))
+            .min(u64::from(run.total_rounds)) as u32;
+        // Metric samples difference lifetime counters against the previous
+        // boundary. Past epoch 0 those are the restored counters; epoch 0
+        // counts from the run's start (zero), so its row keeps the prelude.
+        if run.st.epoch > 0 {
+            run.metrics_prev = run.st.tlb_walk_totals();
+        }
+        run
+    }
+
+    /// The epoch the next step runs; after the last step, the number of
+    /// epochs the run had.
+    pub fn epoch(&self) -> u32 {
+        self.st.epoch
+    }
+
+    /// Runs one epoch (its rounds, then the boundary: khugepaged, counters,
+    /// policy, actions) and returns `true`; returns `false`, doing nothing,
+    /// once the run is complete.
+    pub fn step_epoch(&mut self) -> bool {
+        if self.round >= self.total_rounds {
+            return false;
+        }
+        let per_epoch = self.config.rounds_per_epoch;
+        // One epoch's worth of rounds (the final chunk may be short). The
+        // first round is always an epoch boundary, so chunks stay aligned
+        // across checkpoint/resume splits.
+        let chunk_end = ((self.round / per_epoch + 1) * per_epoch).min(self.total_rounds);
+        let rounds = self.round..chunk_end;
+        // An epoch is shardable when no thread can fault (the allocation
+        // phase — the only source of unmapped pages — is over) and no data
+        // replicas exist (a store would collapse them mid-round, a space
+        // mutation). Both conditions are boundary-stable: alloc lists only
+        // shrink, and replicas are only created by boundary policy
+        // actions. Under them, rounds have no mid-round trace events, no
+        // faults, and no space writes — the per-node-group
+        // sub-simulations interact only through commutative counters,
+        // merged at `chunk_end`.
+        let groups = self.node_groups.len();
+        let gate = groups > 1
+            && self.round >= self.gen.alloc_rounds()
+            && !self.st.space.get().has_replicas();
+        let _lease;
+        let lanes = if !gate {
+            1
+        } else if self.shard_request > 0 {
+            (self.shard_request as usize).min(groups)
         } else {
-            st.emit(|| TraceEvent::RunStart {
-                workload: spec.name.clone(),
-                policy: policy.name().to_string(),
-                machine: machine.name().to_string(),
-                seed: config.seed,
-            });
-            {
-                // Pins expire and pressure events apply at epoch boundaries;
-                // epoch 0 covers a pressure event scheduled before the run.
-                let SimState { faults, space, .. } = &mut st;
-                faults.begin_epoch(0, space.owned_mut());
-            }
-
-            // Serial prelude: the loader thread's header touches run alone
-            // before the parallel phase (a program's sequential setup).
-            let mut prelude_cycles: u64 = 0;
-            for &vaddr in gen.prelude().to_vec().iter() {
-                let op = workloads::Op {
-                    vaddr,
-                    is_write: true,
-                    coherent_store: false,
-                    prefetched: false,
-                };
-                let bd = attrib_on.then_some(&mut prelude_bd);
-                prelude_cycles += st.run_op(0, op, 1, bd) + think;
-                if attrib_on {
-                    prelude_bd.compute += think;
-                }
-            }
-            wall += prelude_cycles;
+            _lease = crate::lanes::Lease::acquire(groups - 1);
+            1 + _lease.count()
+        };
+        if lanes > 1 {
+            self.run_rounds_sharded(lanes, rounds);
+        } else {
+            self.run_rounds_serial(rounds);
         }
+        self.round = chunk_end;
+        self.close_epoch();
+        true
+    }
 
-        // An epoch-0 checkpoint captures the state right here: prelude run,
-        // epoch 0 begun, no rounds executed.
-        if let RunMode::CheckpointAt { epoch, out } = &mut mode {
-            if epoch_index == *epoch {
-                **out = Some(capture_checkpoint(
-                    machine,
-                    spec,
-                    config,
-                    &*policy,
-                    &gen,
-                    &st,
-                    epoch_index,
-                    wall,
-                    total_ops,
-                    overhead_total,
-                    &epochs,
-                    &last_failures,
-                    attrib_on,
-                    &prelude_bd,
-                    &core_totals,
-                    &attrib_epochs,
-                ));
-                return None;
-            }
-        }
+    /// Steps until the boundary that begins `epoch`; returns whether the
+    /// run reached it (`false` when the run completes first, or is
+    /// already past it). Checkpoint-at-epoch is `step_to(e)` followed by
+    /// [`Run::checkpoint`].
+    pub fn step_to(&mut self, epoch: u32) -> bool {
+        while self.epoch() < epoch && self.step_epoch() {}
+        self.epoch() == epoch
+    }
 
-        // Reusable op buffer: one block of the access stream at a time.
-        let mut block: Vec<workloads::Op> = Vec::new();
+    /// Ops per thread per block batch: threads interleave in small batches
+    /// so first-touch races are fair — within each batch cycle every
+    /// thread advances equally.
+    fn batch(&self) -> u64 {
+        self.config
+            .ops_per_batch
+            .max(1)
+            .min(self.spec.ops_per_round)
+    }
 
-        // On a resume, epochs 0..epoch_index already ran before the
-        // snapshot: restart the loop at the restored epoch's first round.
-        // The `min` covers a checkpoint taken at the boundary after the
-        // final (possibly short) epoch — the loop body is then empty and
-        // only the finale runs, from restored state.
-        let start_round = (u64::from(epoch_index) * u64::from(config.rounds_per_epoch))
-            .min(u64::from(total_rounds)) as u32;
-
-        // Threads interleave in small batches so first-touch races are
-        // fair: within each batch cycle every thread advances equally.
-        let batch = config.ops_per_batch.max(1).min(spec.ops_per_round);
-        // The run advances one epoch chunk at a time: [round, chunk_end)
-        // is one epoch's worth of rounds (the final chunk may be short).
-        // `start_round` is always an epoch boundary, so chunks stay
-        // aligned across checkpoint/resume splits.
-        let mut round = start_round;
-        while round < total_rounds {
-            let chunk_end =
-                ((round / config.rounds_per_epoch + 1) * config.rounds_per_epoch).min(total_rounds);
-            // An epoch is shardable when no thread can fault (the
-            // allocation phase — the only source of unmapped pages — is
-            // over) and no data replicas exist (a store would collapse
-            // them mid-round, a space mutation). Both conditions are
-            // boundary-stable: alloc lists only shrink, and replicas are
-            // only created by boundary policy actions. Under them, rounds
-            // have no mid-round trace events, no faults, and no space
-            // writes — the per-node-group sub-simulations interact only
-            // through commutative counters, merged at `chunk_end`.
-            let gate = node_groups.len() > 1
-                && round >= gen.alloc_rounds()
-                && !st.space.get().has_replicas();
-            let _lease;
-            let lanes_n = if !gate {
-                1
-            } else if shard_request > 0 {
-                (shard_request as usize).min(node_groups.len())
-            } else {
-                _lease = crate::lanes::Lease::acquire(node_groups.len() - 1);
-                1 + _lease.count()
-            };
-            let sharded = lanes_n > 1;
-            if sharded {
-                let lane_groups = chunk_lane_groups(&node_groups, lanes_n);
-                let (cyc, bds) = run_epoch_sharded(
-                    &mut st,
-                    &mut gen,
-                    spec,
-                    &lane_groups,
-                    round..chunk_end,
-                    batch,
-                    think,
-                    attrib_on,
-                );
-                // Deterministic merge: replay the serial per-round wall
-                // and attribution rules over the assembled thread cycles.
-                for (ri, t_cycles) in cyc.iter().enumerate() {
-                    let slowest = t_cycles.iter().copied().max().unwrap_or(0);
+    /// Runs `rounds` on the caller's thread.
+    fn run_rounds_serial(&mut self, rounds: std::ops::Range<u32>) {
+        let spec = self.spec;
+        let batch = self.batch();
+        let think = u64::from(spec.think_cycles_per_op);
+        let attrib_on = self.totals.ledger.is_some();
+        for r in rounds {
+            let faulting = (0..spec.threads)
+                .filter(|&t| self.gen.in_alloc_phase(t))
+                .count();
+            let mut t_cycles = vec![0u64; spec.threads];
+            let mut issued: u64 = 0;
+            let mut cycle_idx: usize = r as usize;
+            while issued < spec.ops_per_round {
+                let n = batch.min(spec.ops_per_round - issued);
+                // Rotate the intra-batch thread order every cycle so no
+                // thread systematically wins first-touch races.
+                for k in 0..spec.threads {
+                    let t = (k + cycle_idx) % spec.threads;
+                    self.gen.next_block(t, n as usize, &mut self.block);
+                    let bd = if attrib_on {
+                        Some(&mut self.round_bds[t])
+                    } else {
+                        None
+                    };
+                    t_cycles[t] += self.st.run_block(t, &self.block, faulting, bd) + think * n;
                     if attrib_on {
-                        if let Some(wi) = t_cycles.iter().position(|&c| c == slowest) {
-                            epoch_wall_bd.add(&bds[ri][wi]);
-                        }
-                        for (cb, rb) in core_bds.iter_mut().zip(bds[ri].iter()) {
-                            cb.add(rb);
-                        }
+                        self.round_bds[t].compute += think * n;
                     }
-                    epoch_ops += spec.ops_per_round * spec.threads as u64;
-                    total_ops += spec.ops_per_round * spec.threads as u64;
-                    wall += slowest;
-                    epoch_wall += slowest;
                 }
+                issued += n;
+                cycle_idx += 1;
             }
-            let serial_rounds = if sharded {
-                chunk_end..chunk_end
-            } else {
-                round..chunk_end
-            };
-            for r in serial_rounds {
-                let faulting = (0..spec.threads).filter(|&t| gen.in_alloc_phase(t)).count();
-                let mut t_cycles = vec![0u64; spec.threads];
-                let mut issued: u64 = 0;
-                let mut cycle_idx: usize = r as usize;
-                while issued < spec.ops_per_round {
-                    let n = batch.min(spec.ops_per_round - issued);
-                    // Rotate the intra-batch thread order every cycle so no
-                    // thread systematically wins first-touch races.
-                    for k in 0..spec.threads {
-                        let t = (k + cycle_idx) % spec.threads;
-                        gen.next_block(t, n as usize, &mut block);
-                        let bd = if attrib_on {
-                            Some(&mut round_bds[t])
-                        } else {
-                            None
-                        };
-                        t_cycles[t] += st.run_block(t, &block, faulting, bd) + think * n;
-                        if attrib_on {
-                            round_bds[t].compute += think * n;
-                        }
-                    }
-                    issued += n;
-                    cycle_idx += 1;
-                }
-                let slowest = t_cycles.iter().copied().max().unwrap_or(0);
-                if attrib_on {
-                    // The round's wall time is the slowest thread's time: its
-                    // breakdown *is* the round's wall breakdown. Ties are safe —
-                    // any thread achieving the max has a breakdown summing to
-                    // exactly `slowest` — but take the first for determinism.
-                    if let Some(wi) = t_cycles.iter().position(|&c| c == slowest) {
-                        epoch_wall_bd.add(&round_bds[wi]);
-                    }
-                    for (cb, rb) in core_bds.iter_mut().zip(round_bds.iter_mut()) {
-                        cb.add(rb);
-                        *rb = CycleBreakdown::default();
-                    }
-                }
-                epoch_ops += spec.ops_per_round * spec.threads as u64;
-                total_ops += spec.ops_per_round * spec.threads as u64;
-                wall += slowest;
-                epoch_wall += slowest;
-            }
-            round = chunk_end;
+            let round_ops = spec.ops_per_round * spec.threads as u64;
+            self.totals
+                .merge_round(&t_cycles, &mut self.round_bds, round_ops);
+        }
+    }
 
-            // --- Epoch boundary: kernel daemons, counters, policy. ---
-            let (collapsed, khuge_cost) = st
-                .space
-                .owned_mut()
-                .promotion_scan(config.khugepaged_scan_limit);
-            if !collapsed.is_empty() {
-                // Collapsed ranges got new frames: stale entries must go.
-                for t in &mut st.tlbs {
-                    t.flush();
-                }
-                if st.trace.is_some() {
-                    for &vbase in &collapsed {
-                        st.emit(|| TraceEvent::Promotion {
-                            epoch: epoch_index,
-                            vbase: vbase.0,
-                        });
-                    }
-                }
-            }
-
-            let controller_requests = st.mem.controller_epoch_requests();
-            let (mut samples, ibs_overhead) = st.sampler.drain();
-            // Injected sample loss/misattribution happens between the
-            // hardware and the daemon: counters are unaffected, the
-            // policy's view is. No-op when the plan is inactive.
-            st.faults.filter_samples(&mut samples, machine.num_nodes());
-            let mem_stats = *st.mem.epoch_stats();
-            let counters = EpochCounters {
-                epoch_cycles: epoch_wall,
-                l2_accesses: mem_stats.l2_accesses,
-                l2_misses: mem_stats.l2_misses,
-                l2_walk_misses: mem_stats.l2_walk_misses,
-                dram_local: mem_stats.dram_local,
-                dram_remote: mem_stats.dram_remote,
-                controller_requests,
-                fault_time: st
-                    .fault_epoch
+    /// Runs `rounds` sharded across `lanes` lanes — the first on the
+    /// caller's thread, each further one on a scoped OS thread — absorbs
+    /// every lane back in fixed group order, then merges the reassembled
+    /// rounds exactly as the serial loop would have.
+    fn run_rounds_sharded(&mut self, lanes: usize, rounds: std::ops::Range<u32>) {
+        let groups = chunk_lane_groups(&self.node_groups, lanes);
+        let spec = self.spec;
+        let batch = self.batch();
+        let st = &mut self.st;
+        // Fork one set of owned parts per lane — cheap next to an epoch's
+        // work: caches clone, counters zero, sample stores start empty.
+        let mut forks: Vec<LaneParts> = groups
+            .iter()
+            .map(|g| LaneParts {
+                mem: st.mem.fork_lane(),
+                walk_caches: st.walk_caches.clone(),
+                tlbs: st.tlbs.clone(),
+                sampler: st.sampler.fork_lane(),
+                page_stats: st.page_stats.as_ref().map(|_| PageAccessStats::new()),
+                fast_uncached: st.fast_uncached.clone(),
+                streams: g
+                    .threads
                     .iter()
-                    .map(|&c| CoreFaultTime { fault_cycles: c })
+                    .map(|&t| (t, self.gen.detach_thread(t)))
                     .collect(),
-                mem_ops: epoch_ops,
-            };
+            })
+            .collect();
+        let job = LaneJob {
+            machine: st.machine,
+            space: st.space.get(),
+            gen: &self.gen,
+            spec,
+            rounds: rounds.clone(),
+            batch,
+            think: u64::from(spec.think_cycles_per_op),
+            attrib_on: self.totals.ledger.is_some(),
+            knobs: st.knobs,
+            epoch: st.epoch,
+        };
+        let mut outs: Vec<Option<LaneOut>> = (0..groups.len()).map(|_| None).collect();
+        std::thread::scope(|s| {
+            let job = &job;
+            let mut it = forks.drain(..);
+            let first = it.next().expect("at least one lane group");
+            let handles: Vec<_> = groups[1..]
+                .iter()
+                .zip(it)
+                .map(|(g, parts)| s.spawn(move || run_lane(job, g, parts)))
+                .collect();
+            outs[0] = Some(run_lane(job, &groups[0], first));
+            for (i, h) in handles.into_iter().enumerate() {
+                outs[i + 1] = Some(h.join().expect("shard lane panicked"));
+            }
+        });
+        // Deterministic absorb: always in group order, whatever order the
+        // lanes actually finished in.
+        let n_rounds = (rounds.end - rounds.start) as usize;
+        let mut cyc = vec![vec![0u64; spec.threads]; n_rounds];
+        let mut bds = vec![vec![CycleBreakdown::default(); spec.threads]; n_rounds];
+        for (g, out) in groups.iter().zip(outs) {
+            let (mut parts, lane_cyc, lane_bds) = out.expect("every lane produced a result");
+            st.mem.absorb_lane(&mut parts.mem, &g.cores, &g.nodes);
+            st.sampler.absorb_lane(&mut parts.sampler);
+            if let (Some(ps), Some(lp)) = (st.page_stats.as_mut(), parts.page_stats.as_ref()) {
+                ps.absorb(lp);
+            }
+            for &t in &g.threads {
+                std::mem::swap(&mut st.tlbs[t], &mut parts.tlbs[t]);
+                std::mem::swap(&mut st.walk_caches[t], &mut parts.walk_caches[t]);
+            }
+            for (t, stream) in parts.streams {
+                self.gen.attach_thread(t, stream);
+            }
+            for (ri, (lc, lb)) in lane_cyc.into_iter().zip(lane_bds).enumerate() {
+                for (j, &t) in g.threads.iter().enumerate() {
+                    cyc[ri][t] = lc[j];
+                }
+                for (j, b) in lb.into_iter().enumerate() {
+                    bds[ri][g.threads[j]] = b;
+                }
+            }
+        }
+        let round_ops = spec.ops_per_round * spec.threads as u64;
+        for (t_cycles, round_bds) in cyc.iter().zip(bds.iter_mut()) {
+            self.totals.merge_round(t_cycles, round_bds, round_ops);
+        }
+    }
 
-            let boundary_thp = st.space.get().thp();
-            let mut ctx = EpochCtx::new(machine, &counters, &samples, boundary_thp, epoch_index);
-            let failures_fed = st.faults.is_active();
-            if failures_fed {
-                ctx.set_failures(&last_failures);
+    /// The epoch boundary: kernel daemons, counters, policy, actions, the
+    /// epoch's records, and the start of the next epoch.
+    fn close_epoch(&mut self) {
+        let machine = self.machine;
+        let epoch = self.st.epoch;
+        let st = &mut self.st;
+        let (collapsed, khuge_cost) = st
+            .space
+            .owned_mut()
+            .promotion_scan(self.config.khugepaged_scan_limit);
+        if !collapsed.is_empty() {
+            // Collapsed ranges got new frames: stale entries must go.
+            for t in &mut st.tlbs {
+                t.flush();
             }
-            if st.trace.is_some() || observer.is_some() {
-                ctx.enable_decision_log();
-            }
-            policy.on_epoch(&mut ctx);
-            let actions = ctx.take_actions();
-            let decisions = ctx.take_decisions();
-            let retries = ctx.retries_recorded();
-            if let Some(obs) = observer.as_deref_mut() {
-                obs.on_boundary(&EpochBoundary {
-                    epoch: epoch_index,
-                    counters: &counters,
-                    samples: &samples,
-                    thp: boundary_thp,
-                    failures: failures_fed.then_some(last_failures.as_slice()),
-                    actions: &actions,
-                    decisions: &decisions,
-                    retries,
-                    fingerprint: crate::trace::epoch_output_fingerprint(
-                        epoch_index,
-                        &actions,
-                        &decisions,
-                        retries,
-                    ),
-                });
-            }
-            for decision in decisions {
-                st.emit(|| TraceEvent::Decision {
-                    epoch: epoch_index,
-                    decision,
-                });
-            }
-            st.robust.retries += retries;
-            let mut failures: Vec<FailedAction> = Vec::new();
-            let (migrations, splits, action_costs) = st.apply_actions(actions, &mut failures);
-            let action_cost = action_costs.total();
             if st.trace.is_some() {
-                for f in &failures {
-                    st.emit(|| TraceEvent::ActionFailed {
-                        epoch: epoch_index,
-                        action: f.action,
-                        error: f.error,
+                for &vbase in &collapsed {
+                    st.emit(|| TraceEvent::Promotion {
+                        epoch,
+                        vbase: vbase.0,
                     });
                 }
             }
+        }
 
-            // Kernel-side work (daemon scans, sampling NMIs, migrations)
-            // executes on the same cores as the application; spread across
-            // the machine it lengthens the epoch by its per-core share.
-            let overhead = khuge_cost + ibs_overhead + action_cost;
-            let overhead_share = overhead / st.threads as u64;
-            wall += overhead_share;
-            epoch_wall += overhead_share;
-            overhead_total += overhead;
-            if attrib_on {
-                // The flooring of `overhead / threads` is distributed over
-                // the kind buckets by prefix-sum differencing, so the five
-                // shares sum to `overhead_share` exactly — no cycle is lost
-                // to five independent floors.
-                let [kh, ib, mi, sp, re] = split_div(
-                    [
-                        khuge_cost,
-                        ibs_overhead,
-                        action_costs.migrate,
-                        action_costs.split,
-                        action_costs.replicate,
-                    ],
-                    st.threads as u64,
-                );
-                epoch_wall_bd.khugepaged += kh;
-                epoch_wall_bd.ibs_sampling += ib;
-                epoch_wall_bd.policy_migration += mi;
-                epoch_wall_bd.policy_split += sp;
-                epoch_wall_bd.policy_replication += re;
-            }
+        let controller_requests = st.mem.controller_epoch_requests();
+        let (mut samples, ibs_overhead) = st.sampler.drain();
+        // Injected sample loss/misattribution happens between the
+        // hardware and the daemon: counters are unaffected, the
+        // policy's view is. No-op when the plan is inactive.
+        st.faults.filter_samples(&mut samples, machine.num_nodes());
+        let mem_stats = *st.mem.epoch_stats();
+        let epoch_wall = self.totals.epoch_wall;
+        let counters = EpochCounters {
+            epoch_cycles: epoch_wall,
+            l2_accesses: mem_stats.l2_accesses,
+            l2_misses: mem_stats.l2_misses,
+            l2_walk_misses: mem_stats.l2_walk_misses,
+            dram_local: mem_stats.dram_local,
+            dram_remote: mem_stats.dram_remote,
+            controller_requests,
+            fault_time: st
+                .fault_epoch
+                .iter()
+                .map(|&c| CoreFaultTime { fault_cycles: c })
+                .collect(),
+            mem_ops: self.totals.epoch_ops,
+        };
 
-            if st.trace.is_some() {
-                // Snapshot before end_epoch resets the per-epoch
-                // controller counters: the delays shown are the ones that
-                // were actually charged during this epoch.
-                let snaps = st.mem.controller_snapshots();
-                let snap = EpochSnap {
-                    epoch_cycles: epoch_wall,
-                    imbalance: metrics::imbalance(&counters.controller_requests),
-                    lar: mem_stats.lar(),
-                    walk_miss_fraction: counters.walk_miss_fraction(),
-                    l2_misses: counters.l2_misses,
-                    l2_walk_misses: counters.l2_walk_misses,
-                    max_fault_cycles: st.fault_epoch.iter().copied().max().unwrap_or(0),
-                    controller_requests: snaps.iter().map(|s| s.requests).collect(),
-                    controller_delays: snaps.iter().map(|s| s.queue_delay).collect(),
-                    migrations,
-                    splits,
-                    collapses: collapsed.len() as u64,
-                    failed_actions: failures.len() as u64,
-                    thp_alloc: st.space.get().thp().alloc_2m,
-                    thp_promote: st.space.get().thp().promote_2m,
-                };
-                st.emit(|| TraceEvent::EpochEnd {
-                    epoch: epoch_index,
-                    snap,
+        let boundary_thp = st.space.get().thp();
+        let mut ctx = EpochCtx::new(machine, &counters, &samples, boundary_thp, epoch);
+        let failures_fed = st.faults.is_active();
+        if failures_fed {
+            ctx.set_failures(&self.last_failures);
+        }
+        if st.trace.is_some() || self.observer.is_some() {
+            ctx.enable_decision_log();
+        }
+        self.policy.on_epoch(&mut ctx);
+        let actions = ctx.take_actions();
+        let decisions = ctx.take_decisions();
+        let retries = ctx.retries_recorded();
+        if let Some(obs) = self.observer.as_deref_mut() {
+            obs.on_boundary(&EpochBoundary {
+                epoch,
+                counters: &counters,
+                samples: &samples,
+                thp: boundary_thp,
+                failures: failures_fed.then_some(self.last_failures.as_slice()),
+                actions: &actions,
+                decisions: &decisions,
+                retries,
+                fingerprint: crate::trace::epoch_output_fingerprint(
+                    epoch, &actions, &decisions, retries,
+                ),
+            });
+        }
+        for decision in decisions {
+            st.emit(|| TraceEvent::Decision { epoch, decision });
+        }
+        st.robust.retries += retries;
+        let mut failures: Vec<FailedAction> = Vec::new();
+        let (migrations, splits, action_costs) = st.apply_actions(actions, &mut failures);
+        if st.trace.is_some() {
+            for f in &failures {
+                st.emit(|| TraceEvent::ActionFailed {
+                    epoch,
+                    action: f.action,
+                    error: f.error,
                 });
             }
-            st.mem.end_epoch(epoch_wall);
-            // Controller and link delays just changed: the uncached memo
-            // (a function of those delays) is stale.
-            st.fast_uncached.fill(None);
-            epochs.push(EpochRecord {
-                counters,
+        }
+
+        // Kernel-side work (daemon scans, sampling NMIs, migrations)
+        // executes on the same cores as the application; spread across
+        // the machine it lengthens the epoch by its per-core share.
+        let overhead = khuge_cost + ibs_overhead + action_costs.total();
+        let overhead_share = overhead / st.knobs.threads as u64;
+        let totals = &mut self.totals;
+        totals.wall += overhead_share;
+        totals.epoch_wall += overhead_share;
+        totals.overhead_total += overhead;
+        let epoch_wall = totals.epoch_wall;
+        if let Some(l) = totals.ledger.as_mut() {
+            // The flooring of `overhead / threads` is distributed over
+            // the kind buckets by prefix-sum differencing, so the five
+            // shares sum to `overhead_share` exactly — no cycle is lost
+            // to five independent floors.
+            let [kh, ib, mi, sp, re] = split_div(
+                [
+                    khuge_cost,
+                    ibs_overhead,
+                    action_costs.migrate,
+                    action_costs.split,
+                    action_costs.replicate,
+                ],
+                st.knobs.threads as u64,
+            );
+            l.epoch_wall.khugepaged += kh;
+            l.epoch_wall.ibs_sampling += ib;
+            l.epoch_wall.policy_migration += mi;
+            l.epoch_wall.policy_split += sp;
+            l.epoch_wall.policy_replication += re;
+        }
+
+        if st.trace.is_some() {
+            // Snapshot before end_epoch resets the per-epoch
+            // controller counters: the delays shown are the ones that
+            // were actually charged during this epoch.
+            let snaps = st.mem.controller_snapshots();
+            let snap = EpochSnap {
+                epoch_cycles: epoch_wall,
+                imbalance: metrics::imbalance(&counters.controller_requests),
+                lar: mem_stats.lar(),
+                walk_miss_fraction: counters.walk_miss_fraction(),
+                l2_misses: counters.l2_misses,
+                l2_walk_misses: counters.l2_walk_misses,
+                max_fault_cycles: st.fault_epoch.iter().copied().max().unwrap_or(0),
+                controller_requests: snaps.iter().map(|s| s.requests).collect(),
+                controller_delays: snaps.iter().map(|s| s.queue_delay).collect(),
                 migrations,
                 splits,
                 collapses: collapsed.len() as u64,
-                overhead_cycles: overhead,
-                thp_alloc_enabled: st.space.get().thp().alloc_2m,
-                thp_promote_enabled: st.space.get().thp().promote_2m,
                 failed_actions: failures.len() as u64,
-            });
-            last_failures = failures;
-            if attrib_on {
-                attrib_epochs.push(EpochAttribution {
-                    wall: epoch_wall_bd,
-                    cores: core_bds.clone(),
-                });
-                for (tot, cb) in core_totals.iter_mut().zip(core_bds.iter_mut()) {
-                    tot.add(cb);
-                    *cb = CycleBreakdown::default();
-                }
-                epoch_wall_bd = CycleBreakdown::default();
-            }
-            if let Some(rec) = recorder.as_deref_mut() {
-                // The flight-recorder sample for the epoch this boundary
-                // closed. `epoch_wall` still holds the epoch's full wall
-                // cycles (boundary overhead included) and the per-epoch
-                // accumulators are not yet reset; the counters moved into
-                // `epochs` are read back off its tail. Everything here is
-                // a pure observation — see the bit-identity contract above.
-                let (l1h, l2h, tmiss) = st.tlbs.iter().fold((0u64, 0u64, 0u64), |acc, t| {
-                    let s = t.stats();
-                    (acc.0 + s.l1_hits, acc.1 + s.l2_hits, acc.2 + s.misses)
-                });
-                let (wh, wm) = st.walk_caches.iter().fold((0u64, 0u64), |acc, w| {
-                    (acc.0 + w.hits(), acc.1 + w.misses())
-                });
-                let pages = st.page_stats.as_ref().map(|ps| {
-                    let space = st.space.get();
-                    let rows = ps.aggregate(|base4k| {
-                        space
-                            .translate(VirtAddr(base4k))
-                            .map(|m| m.vbase.0)
-                            .unwrap_or(base4k)
-                    });
-                    PageSnapshot {
-                        pamup: metrics::pamup(&rows),
-                        nhp: metrics::nhp(&rows),
-                        psp: metrics::psp(&rows),
-                    }
-                });
-                let rec_counters = &epochs.last().expect("boundary just pushed").counters;
-                rec.on_epoch(&MetricsSample {
-                    epoch: epoch_index,
-                    epoch_cycles: epoch_wall,
-                    mem_ops: rec_counters.mem_ops,
-                    imbalance: metrics::imbalance(&rec_counters.controller_requests),
-                    lar: mem_stats.lar(),
-                    walk_miss_fraction: rec_counters.walk_miss_fraction(),
-                    controller_requests: &rec_counters.controller_requests,
-                    tlb_l1_hits: l1h - rec_prev_tlb.0,
-                    tlb_l2_hits: l2h - rec_prev_tlb.1,
-                    tlb_misses: tmiss - rec_prev_tlb.2,
-                    walk_cache_hits: wh - rec_prev_walk.0,
-                    walk_cache_misses: wm - rec_prev_walk.1,
-                    migrations,
-                    splits,
-                    collapses: collapsed.len() as u64,
-                    failed_actions: last_failures.len() as u64,
-                    pages,
-                    policy: policy.introspect(epoch_index),
-                    attrib: attrib_epochs.last().map(|e| &e.wall),
-                    lanes_free: crate::lanes::available(),
-                });
-                rec_prev_tlb = (l1h, l2h, tmiss);
-                rec_prev_walk = (wh, wm);
-            }
-            st.fault_epoch.iter_mut().for_each(|c| *c = 0);
-            epoch_wall = 0;
-            epoch_ops = 0;
-            epoch_index += 1;
-            st.epoch = epoch_index;
-            {
-                let SimState { faults, space, .. } = &mut st;
-                faults.begin_epoch(epoch_index, space.owned_mut());
-            }
-            if config.validate_each_epoch {
-                st.space.get().validate().unwrap_or_else(|e| {
-                    panic!(
-                        "vmem invariant violated after epoch {}: {e}",
-                        epoch_index - 1
-                    )
-                });
-            }
-
-            // The snapshot point: the boundary that closed `epoch_index - 1`
-            // and began `epoch_index`. Per-epoch accumulators are freshly
-            // reset here, which keeps the payload minimal. An observer may
-            // capture here too (every boundary, not just one target epoch),
-            // which is what lets the fork tree snapshot a whole probe run
-            // in a single pass instead of O(epochs) re-runs.
-            if let Some(obs) = observer.as_deref_mut() {
-                if obs.want_checkpoint(epoch_index) {
-                    obs.on_checkpoint(capture_checkpoint(
-                        machine,
-                        spec,
-                        config,
-                        &*policy,
-                        &gen,
-                        &st,
-                        epoch_index,
-                        wall,
-                        total_ops,
-                        overhead_total,
-                        &epochs,
-                        &last_failures,
-                        attrib_on,
-                        &prelude_bd,
-                        &core_totals,
-                        &attrib_epochs,
-                    ));
-                }
-            }
-            if let RunMode::CheckpointAt { epoch, out } = &mut mode {
-                if epoch_index == *epoch {
-                    **out = Some(capture_checkpoint(
-                        machine,
-                        spec,
-                        config,
-                        &*policy,
-                        &gen,
-                        &st,
-                        epoch_index,
-                        wall,
-                        total_ops,
-                        overhead_total,
-                        &epochs,
-                        &last_failures,
-                        attrib_on,
-                        &prelude_bd,
-                        &core_totals,
-                        &attrib_epochs,
-                    ));
-                    return None;
-                }
-            }
+                thp_alloc: st.space.get().thp().alloc_2m,
+                thp_promote: st.space.get().thp().promote_2m,
+            };
+            st.emit(|| TraceEvent::EpochEnd { epoch, snap });
         }
+        st.mem.end_epoch(epoch_wall);
+        // Controller and link delays just changed: the uncached memo
+        // (a function of those delays) is stale.
+        st.fast_uncached.fill(None);
+        self.epochs.push(EpochRecord {
+            counters,
+            migrations,
+            splits,
+            collapses: collapsed.len() as u64,
+            overhead_cycles: overhead,
+            thp_alloc_enabled: st.space.get().thp().alloc_2m,
+            thp_promote_enabled: st.space.get().thp().promote_2m,
+            failed_actions: failures.len() as u64,
+        });
+        self.last_failures = failures;
+        if let Some(l) = totals.ledger.as_mut() {
+            l.epochs.push(EpochAttribution {
+                wall: l.epoch_wall,
+                cores: l.cores.clone(),
+            });
+            for (tot, cb) in l.core_totals.iter_mut().zip(l.cores.iter_mut()) {
+                tot.add(cb);
+                *cb = CycleBreakdown::default();
+            }
+            l.epoch_wall = CycleBreakdown::default();
+        }
+        if self.metrics_on {
+            self.record_metrics(mem_stats.lar(), collapsed.len() as u64);
+        }
+        let st = &mut self.st;
+        st.fault_epoch.iter_mut().for_each(|c| *c = 0);
+        self.totals.epoch_wall = 0;
+        self.totals.epoch_ops = 0;
+        st.epoch = epoch + 1;
+        {
+            let SimState { faults, space, .. } = &mut *st;
+            faults.begin_epoch(epoch + 1, space.owned_mut());
+        }
+        if self.config.validate_each_epoch {
+            st.space
+                .get()
+                .validate()
+                .unwrap_or_else(|e| panic!("vmem invariant violated after epoch {epoch}: {e}"));
+        }
+    }
 
-        // --- Whole-run aggregates. ---
+    /// Hands the observer the flight-recorder sample of the epoch the
+    /// boundary just closed. Called after the epoch's record was pushed and
+    /// before the per-epoch accumulators reset, so `epoch_wall` still holds
+    /// the epoch's full wall cycles (boundary overhead included). Every
+    /// read here is `&self` — a pure observation.
+    fn record_metrics(&mut self, lar: f64, collapses: u64) {
+        let st = &self.st;
+        let (tlb, walk) = st.tlb_walk_totals();
+        let (prev_tlb, prev_walk) = self.metrics_prev;
+        let pages = st.page_stats.as_ref().map(|ps| {
+            let rows = mapped_page_rows(ps, st.space.get());
+            PageSnapshot {
+                pamup: metrics::pamup(&rows),
+                nhp: metrics::nhp(&rows),
+                psp: metrics::psp(&rows),
+            }
+        });
+        let rec = self.epochs.last().expect("boundary just pushed");
+        let sample = MetricsSample {
+            epoch: st.epoch,
+            epoch_cycles: self.totals.epoch_wall,
+            mem_ops: rec.counters.mem_ops,
+            imbalance: metrics::imbalance(&rec.counters.controller_requests),
+            lar,
+            walk_miss_fraction: rec.counters.walk_miss_fraction(),
+            controller_requests: &rec.counters.controller_requests,
+            tlb_l1_hits: tlb[0] - prev_tlb[0],
+            tlb_l2_hits: tlb[1] - prev_tlb[1],
+            tlb_misses: tlb[2] - prev_tlb[2],
+            walk_cache_hits: walk[0] - prev_walk[0],
+            walk_cache_misses: walk[1] - prev_walk[1],
+            migrations: rec.migrations,
+            splits: rec.splits,
+            collapses,
+            failed_actions: self.last_failures.len() as u64,
+            pages,
+            policy: self.policy.introspect(st.epoch),
+            attrib: self
+                .totals
+                .ledger
+                .as_ref()
+                .and_then(|l| l.epochs.last())
+                .map(|e| &e.wall),
+            lanes_free: crate::lanes::available(),
+        };
+        if let Some(obs) = self.observer.as_deref_mut() {
+            obs.on_epoch_end(&sample);
+        }
+        self.metrics_prev = (tlb, walk);
+    }
+
+    /// Snapshots the run at its current boundary as a `ckpt-v1`
+    /// [`Checkpoint`]; [`Run::resume`] continues from it. Between steps the
+    /// per-epoch accumulators are always freshly reset, which keeps the
+    /// payload minimal. [`Run::restore`] reads the payload back in exactly
+    /// this order; any change to either must extend the schema descriptor
+    /// in [`crate::checkpoint`].
+    pub fn checkpoint(&self) -> Checkpoint {
+        let st = &self.st;
+        let mut e = codec::Enc::new();
+        self.gen.save_into(&mut e);
+        st.space.get().save_into(&mut e);
+        e.seq(st.walk_caches.iter(), |e, w| w.save_into(e));
+        e.seq(st.tlbs.iter(), |e, t| t.save_into(e));
+        st.mem.save_into(&mut e);
+        st.sampler.save_into(&mut e);
+        e.bool(st.page_stats.is_some());
+        if let Some(ps) = &st.page_stats {
+            ps.save_into(&mut e);
+        }
+        st.faults.save_into(&mut e);
+        e.seq(st.fault_epoch.iter(), |e, &c| e.u64(c));
+        e.seq(st.fault_life.iter(), |e, &c| e.u64(c));
+        checkpoint::enc_robust(&mut e, &st.robust);
+        e.u64(self.totals.wall);
+        e.u64(self.totals.total_ops);
+        e.u64(self.totals.overhead_total);
+        e.seq(self.epochs.iter(), checkpoint::enc_epoch_record);
+        e.seq(self.last_failures.iter(), checkpoint::enc_failed_action);
+        e.bool(self.totals.ledger.is_some());
+        if let Some(l) = &self.totals.ledger {
+            checkpoint::enc_breakdown(&mut e, &l.prelude);
+            e.seq(l.core_totals.iter(), checkpoint::enc_breakdown);
+            e.seq(l.epochs.iter(), checkpoint::enc_epoch_attribution);
+        }
+        e.bytes(&self.policy.save_state());
+        Checkpoint::new(
+            st.epoch,
+            checkpoint::config_fingerprint(self.machine, self.spec, self.config),
+            e.into_bytes(),
+        )
+    }
+
+    /// Overwrites freshly built run state from a `ckpt-v1` payload, in the
+    /// exact order [`Run::checkpoint`] wrote it. Constructor-fixed
+    /// dimensions (thread counts, TLB count, attribution switch) are
+    /// asserted, not restored — a fingerprint-matched checkpoint always
+    /// agrees on them.
+    fn restore(&mut self, ckpt: &Checkpoint, restore_policy: bool) {
+        let st = &mut self.st;
+        let mut d = codec::Dec::new(ckpt.payload());
+        self.gen.load_from(&mut d);
+        st.space.owned_mut().load_from(&mut d);
+        let n_wc = d.usize();
+        assert_eq!(n_wc, st.walk_caches.len(), "checkpoint walk-cache count");
+        for w in &mut st.walk_caches {
+            w.load_from(&mut d);
+        }
+        let n_tlbs = d.usize();
+        assert_eq!(n_tlbs, st.tlbs.len(), "checkpoint TLB count");
+        for t in &mut st.tlbs {
+            t.load_from(&mut d);
+        }
+        st.mem.load_from(&mut d);
+        st.sampler.load_from(&mut d);
+        let had_stats = d.bool();
+        assert_eq!(
+            had_stats,
+            st.page_stats.is_some(),
+            "checkpoint page-stat tracking does not match the config"
+        );
+        if let Some(ps) = &mut st.page_stats {
+            ps.load_from(&mut d);
+        }
+        st.faults.load_from(&mut d);
+        let fe = d.seq(|d| d.u64());
+        assert_eq!(
+            fe.len(),
+            st.fault_epoch.len(),
+            "checkpoint fault-epoch length"
+        );
+        st.fault_epoch = fe;
+        let fl = d.seq(|d| d.u64());
+        assert_eq!(
+            fl.len(),
+            st.fault_life.len(),
+            "checkpoint fault-life length"
+        );
+        st.fault_life = fl;
+        st.robust = checkpoint::dec_robust(&mut d);
+        self.totals.wall = d.u64();
+        self.totals.total_ops = d.u64();
+        self.totals.overhead_total = d.u64();
+        self.epochs = d.seq(checkpoint::dec_epoch_record);
+        self.last_failures = d.seq(checkpoint::dec_failed_action);
+        let saved_attrib = d.bool();
+        assert_eq!(
+            saved_attrib,
+            self.totals.ledger.is_some(),
+            "checkpoint attribution switch does not match the config"
+        );
+        if let Some(l) = self.totals.ledger.as_mut() {
+            l.prelude = checkpoint::dec_breakdown(&mut d);
+            let ct = d.seq(checkpoint::dec_breakdown);
+            assert_eq!(ct.len(), l.core_totals.len(), "checkpoint core-total count");
+            l.core_totals = ct;
+            l.epochs = d.seq(checkpoint::dec_epoch_attribution);
+        }
+        let policy_bytes = d.bytes().to_vec();
+        d.finish();
+        if restore_policy {
+            self.policy.restore_state(&policy_bytes);
+        }
+    }
+
+    /// Runs the remaining epochs and returns the whole-run result; the
+    /// trace sink and the observer are finished.
+    pub fn finish(mut self) -> SimResult {
+        while self.step_epoch() {}
+        let Run {
+            machine,
+            spec,
+            policy,
+            observer,
+            mut st,
+            totals,
+            epochs,
+            ..
+        } = self;
+        let wall = totals.wall;
         let life = st.mem.lifetime_stats();
         let controller_totals = st.mem.controller_total_requests();
         let max_fault = st.fault_life.iter().copied().max().unwrap_or(0);
-        let (l1h, l2h, miss) = st.tlbs.iter().fold((0u64, 0u64, 0u64), |acc, t| {
-            let s = t.stats();
-            (acc.0 + s.l1_hits, acc.1 + s.l2_hits, acc.2 + s.misses)
-        });
+        let ([l1h, l2h, miss], _) = st.tlb_walk_totals();
         let tlb_total = l1h + l2h + miss;
 
         let lifetime = LifetimeStats {
@@ -1908,20 +2040,14 @@ impl Simulation {
             },
             total_fault_cycles: st.fault_life.iter().sum(),
             vmem: st.space.get().stats().clone(),
-            overhead_cycles: overhead_total,
+            overhead_cycles: totals.overhead_total,
             ibs_samples: st.sampler.total_taken(),
-            total_ops,
+            total_ops: totals.total_ops,
         };
 
         let pages = match &st.page_stats {
             Some(ps) => {
-                let space = st.space.get();
-                let rows_mapped = ps.aggregate(|base4k| {
-                    space
-                        .translate(VirtAddr(base4k))
-                        .map(|m| m.vbase.0)
-                        .unwrap_or(base4k)
-                });
+                let rows_mapped = mapped_page_rows(ps, st.space.get());
                 let rows_4k = ps.aggregate(|b| b);
                 PageMetrics {
                     pamup: metrics::pamup(&rows_mapped),
@@ -1946,32 +2072,30 @@ impl Simulation {
         if let Some(t) = st.trace.as_mut() {
             t.finish();
         }
-        if let Some(rec) = recorder {
-            rec.finish();
+        if let Some(obs) = observer {
+            obs.finish();
         }
 
-        let attribution = if attrib_on {
-            let mut total = prelude_bd;
-            for e in &attrib_epochs {
+        let attribution = totals.ledger.map(|l| {
+            let mut total = l.prelude;
+            for e in &l.epochs {
                 total.add(&e.wall);
             }
             let ledger = AttributionLedger {
-                prelude: prelude_bd,
-                epochs: attrib_epochs,
+                prelude: l.prelude,
+                epochs: l.epochs,
                 total,
-                core_totals,
+                core_totals: l.core_totals,
             };
             debug_assert!(
                 ledger.conserves(wall),
                 "attribution conservation violated: buckets sum to {}, wall is {wall}",
                 ledger.total.total()
             );
-            Some(ledger)
-        } else {
-            None
-        };
+            ledger
+        });
 
-        Some(SimResult {
+        SimResult {
             workload: spec.name.clone(),
             policy: policy.name().to_string(),
             machine: machine.name().to_string(),
@@ -1982,8 +2106,19 @@ impl Simulation {
             pages,
             robustness: st.robust,
             attribution,
-        })
+        }
     }
+}
+
+/// Page-stat rows aggregated at mapped-page granularity: each 4 KiB base
+/// counts toward the page that currently maps it.
+fn mapped_page_rows(ps: &PageAccessStats, space: &AddressSpace) -> Vec<(u64, u64, u64)> {
+    ps.aggregate(|base4k| {
+        space
+            .translate(VirtAddr(base4k))
+            .map(|m| m.vbase.0)
+            .unwrap_or(base4k)
+    })
 }
 
 /// Reads `$name` as a `u32` override. Unset → `None` (auto). Set but
@@ -2034,150 +2169,6 @@ mod env_override_tests {
         for bad in ["four", "-1", "3.5", "", "0x10", "9999999999999999999"] {
             assert_eq!(parse_env_override("CARREFOUR_JOBS", Some(bad)), None);
         }
-    }
-}
-
-/// Serializes everything a mid-stream resume needs, in `ckpt-v1` payload
-/// order. [`restore_checkpoint`] mirrors this exactly; any change to either
-/// must extend the schema descriptor in [`crate::checkpoint`].
-#[allow(clippy::too_many_arguments)]
-fn capture_checkpoint(
-    machine: &MachineSpec,
-    spec: &WorkloadSpec,
-    config: &SimConfig,
-    policy: &dyn NumaPolicy,
-    gen: &WorkloadGen,
-    st: &SimState<'_, '_, '_>,
-    epoch_index: u32,
-    wall: u64,
-    total_ops: u64,
-    overhead_total: u64,
-    epochs: &[EpochRecord],
-    last_failures: &[FailedAction],
-    attrib_on: bool,
-    prelude_bd: &CycleBreakdown,
-    core_totals: &[CycleBreakdown],
-    attrib_epochs: &[EpochAttribution],
-) -> Checkpoint {
-    let mut e = codec::Enc::new();
-    gen.save_into(&mut e);
-    st.space.get().save_into(&mut e);
-    e.seq(st.walk_caches.iter(), |e, w| w.save_into(e));
-    e.seq(st.tlbs.iter(), |e, t| t.save_into(e));
-    st.mem.save_into(&mut e);
-    st.sampler.save_into(&mut e);
-    e.bool(st.page_stats.is_some());
-    if let Some(ps) = &st.page_stats {
-        ps.save_into(&mut e);
-    }
-    st.faults.save_into(&mut e);
-    e.seq(st.fault_epoch.iter(), |e, &c| e.u64(c));
-    e.seq(st.fault_life.iter(), |e, &c| e.u64(c));
-    checkpoint::enc_robust(&mut e, &st.robust);
-    e.u64(wall);
-    e.u64(total_ops);
-    e.u64(overhead_total);
-    e.seq(epochs.iter(), checkpoint::enc_epoch_record);
-    e.seq(last_failures.iter(), checkpoint::enc_failed_action);
-    e.bool(attrib_on);
-    if attrib_on {
-        checkpoint::enc_breakdown(&mut e, prelude_bd);
-        e.seq(core_totals.iter(), checkpoint::enc_breakdown);
-        e.seq(attrib_epochs.iter(), checkpoint::enc_epoch_attribution);
-    }
-    e.bytes(&policy.save_state());
-    Checkpoint::new(
-        epoch_index,
-        checkpoint::config_fingerprint(machine, spec, config),
-        e.into_bytes(),
-    )
-}
-
-/// Overwrites freshly-constructed run state from a `ckpt-v1` payload, in
-/// the exact order [`capture_checkpoint`] wrote it. Constructor-fixed
-/// dimensions (thread counts, TLB count, attribution switch) are asserted,
-/// not restored — a fingerprint-matched checkpoint always agrees on them.
-#[allow(clippy::too_many_arguments)]
-fn restore_checkpoint(
-    ckpt: &Checkpoint,
-    policy: &mut dyn NumaPolicy,
-    restore_policy: bool,
-    gen: &mut WorkloadGen,
-    st: &mut SimState<'_, '_, '_>,
-    wall: &mut u64,
-    total_ops: &mut u64,
-    overhead_total: &mut u64,
-    epochs: &mut Vec<EpochRecord>,
-    last_failures: &mut Vec<FailedAction>,
-    attrib_on: bool,
-    prelude_bd: &mut CycleBreakdown,
-    core_totals: &mut Vec<CycleBreakdown>,
-    attrib_epochs: &mut Vec<EpochAttribution>,
-) {
-    let mut d = codec::Dec::new(ckpt.payload());
-    gen.load_from(&mut d);
-    st.space.owned_mut().load_from(&mut d);
-    let n_wc = d.usize();
-    assert_eq!(n_wc, st.walk_caches.len(), "checkpoint walk-cache count");
-    for w in &mut st.walk_caches {
-        w.load_from(&mut d);
-    }
-    let n_tlbs = d.usize();
-    assert_eq!(n_tlbs, st.tlbs.len(), "checkpoint TLB count");
-    for t in &mut st.tlbs {
-        t.load_from(&mut d);
-    }
-    st.mem.load_from(&mut d);
-    st.sampler.load_from(&mut d);
-    let had_stats = d.bool();
-    assert_eq!(
-        had_stats,
-        st.page_stats.is_some(),
-        "checkpoint page-stat tracking does not match the config"
-    );
-    if let Some(ps) = &mut st.page_stats {
-        ps.load_from(&mut d);
-    }
-    st.faults.load_from(&mut d);
-    let fe = d.seq(|d| d.u64());
-    assert_eq!(
-        fe.len(),
-        st.fault_epoch.len(),
-        "checkpoint fault-epoch length"
-    );
-    st.fault_epoch = fe;
-    let fl = d.seq(|d| d.u64());
-    assert_eq!(
-        fl.len(),
-        st.fault_life.len(),
-        "checkpoint fault-life length"
-    );
-    st.fault_life = fl;
-    st.robust = checkpoint::dec_robust(&mut d);
-    *wall = d.u64();
-    *total_ops = d.u64();
-    *overhead_total = d.u64();
-    *epochs = d.seq(checkpoint::dec_epoch_record);
-    *last_failures = d.seq(checkpoint::dec_failed_action);
-    let saved_attrib = d.bool();
-    assert_eq!(
-        saved_attrib, attrib_on,
-        "checkpoint attribution switch does not match the config"
-    );
-    if attrib_on {
-        *prelude_bd = checkpoint::dec_breakdown(&mut d);
-        let ct = d.seq(checkpoint::dec_breakdown);
-        assert_eq!(ct.len(), core_totals.len(), "checkpoint core-total count");
-        *core_totals = ct;
-        *attrib_epochs = d.seq(checkpoint::dec_epoch_attribution);
-    }
-    let policy_bytes = d.bytes().to_vec();
-    d.finish();
-    // A fork (`restore_policy == false`) keeps the caller-prepared policy
-    // state: the snapshot's policy bytes belong to the *probe* policy, not
-    // the sibling about to run the tail.
-    if restore_policy {
-        policy.restore_state(&policy_bytes);
     }
 }
 
@@ -2245,10 +2236,10 @@ fn chunk_lane_groups(node_groups: &[LaneGroup], lanes: usize) -> Vec<LaneGroup> 
 
 /// The owned, `Send` pieces of simulation state a shard lane carries to
 /// its worker thread and back. Everything else a lane touches is either a
-/// `Sync` shared reference (machine, address space, workload generator) or
-/// a scalar copied via [`LaneScalars`]. Notably absent: the trace sink
-/// (shardable epochs emit no mid-round events) and the fault plan
-/// (shardable epochs are proven fault-free by the gate).
+/// `Sync` shared reference in its [`LaneJob`] (machine, address space,
+/// workload generator) or a copied scalar ([`Knobs`], the epoch). Notably
+/// absent: the trace sink (shardable epochs emit no mid-round events) and
+/// the fault plan (shardable epochs are proven fault-free by the gate).
 struct LaneParts {
     mem: MemorySystem,
     walk_caches: Vec<WalkCache>,
@@ -2266,43 +2257,35 @@ struct LaneParts {
 /// `[round - rounds.start][position in group.threads]`.
 type LaneOut = (LaneParts, Vec<Vec<u64>>, Vec<Vec<CycleBreakdown>>);
 
-/// Scalar knobs a lane's `SimState` copies from the main state.
-#[derive(Clone, Copy)]
-struct LaneScalars {
-    mlp: u64,
-    l2_tlb_hit_cycles: u32,
-    fault_contention: u64,
-    threads: usize,
-    epoch: u32,
-    fast_on: bool,
-    fast_nodes: usize,
-    l1_line_shift: u32,
-    l1_latency: u32,
-}
-
-/// Runs one lane's sub-simulation of `rounds`: the lane's own threads
-/// execute their blocks for real; every other thread's block advances the
-/// IBS countdown by its op count ([`IbsSampler::advance_foreign`]), so
-/// this lane's samples fire at the exact global op indices of the serial
-/// schedule.
-///
-/// Returns the mutated parts plus per-round cycle totals and attribution
-/// breakdowns for the lane's own threads, indexed
-/// `[round - rounds.start][position in group.threads]`.
-#[allow(clippy::too_many_arguments)]
-fn run_lane(
-    parts: LaneParts,
-    machine: &MachineSpec,
-    space: &AddressSpace,
-    gen: &WorkloadGen,
-    spec: &WorkloadSpec,
-    group: &LaneGroup,
+/// What every lane of one sharded epoch chunk shares: the read-only
+/// machine, space and generator, the chunk's rounds, and the run's knobs.
+struct LaneJob<'j> {
+    machine: &'j MachineSpec,
+    space: &'j AddressSpace,
+    gen: &'j WorkloadGen,
+    spec: &'j WorkloadSpec,
     rounds: std::ops::Range<u32>,
     batch: u64,
     think: u64,
     attrib_on: bool,
-    scalars: LaneScalars,
-) -> LaneOut {
+    knobs: Knobs,
+    epoch: u32,
+}
+
+/// Runs one lane's sub-simulation of the job's rounds: the lane's own
+/// threads (`group`) execute their blocks for real; every other thread's
+/// block advances the IBS countdown by its op count
+/// ([`IbsSampler::advance_foreign`]), so this lane's samples fire at the
+/// exact global op indices of the serial schedule.
+fn run_lane(job: &LaneJob<'_>, group: &LaneGroup, parts: LaneParts) -> LaneOut {
+    let LaneJob {
+        spec,
+        batch,
+        think,
+        attrib_on,
+        knobs,
+        ..
+    } = *job;
     let LaneParts {
         mem,
         walk_caches,
@@ -2313,29 +2296,22 @@ fn run_lane(
         mut streams,
     } = parts;
     let mut lane = SimState {
-        machine,
-        mlp: scalars.mlp,
+        machine: job.machine,
+        knobs,
         mem,
-        space: SpaceRef::Shared(space),
+        space: SpaceRef::Shared(job.space),
         walk_caches,
         tlbs,
         sampler,
         page_stats,
-        fault_epoch: vec![0; scalars.threads],
-        fault_life: vec![0; scalars.threads],
-        l2_tlb_hit_cycles: scalars.l2_tlb_hit_cycles,
-        fault_contention: scalars.fault_contention,
-        threads: scalars.threads,
+        fault_epoch: vec![0; knobs.threads],
+        fault_life: vec![0; knobs.threads],
         faults: FaultPlan::new(&crate::faults::FaultConfig::none()),
         robust: RobustnessStats::default(),
         trace: None,
-        epoch: scalars.epoch,
-        fast_on: scalars.fast_on,
+        epoch: job.epoch,
         fast_uncached,
-        fast_pending: vec![0; scalars.fast_nodes],
-        fast_nodes: scalars.fast_nodes,
-        l1_line_shift: scalars.l1_line_shift,
-        l1_latency: scalars.l1_latency,
+        fast_pending: vec![0; knobs.fast_nodes],
     };
     // Thread index → position among this lane's own threads
     // (`usize::MAX` marks a foreign thread).
@@ -2343,6 +2319,7 @@ fn run_lane(
     for (j, &t) in group.threads.iter().enumerate() {
         own[t] = j;
     }
+    let rounds = job.rounds.clone();
     let n_rounds = (rounds.end - rounds.start) as usize;
     let mut cycles = vec![vec![0u64; group.threads.len()]; n_rounds];
     let mut bds = vec![vec![CycleBreakdown::default(); group.threads.len()]; n_rounds];
@@ -2364,7 +2341,8 @@ fn run_lane(
                     lane.sampler.advance_foreign(n);
                     continue;
                 }
-                gen.stream_block(t, &mut streams[j].1, n as usize, &mut block);
+                job.gen
+                    .stream_block(t, &mut streams[j].1, n as usize, &mut block);
                 let bd = if attrib_on {
                     Some(&mut bds[ri][j])
                 } else {
@@ -2401,117 +2379,6 @@ fn run_lane(
         cycles,
         bds,
     )
-}
-
-/// Runs one epoch chunk sharded across `groups` — the first group on the
-/// caller's thread, each further group on a scoped OS thread — then
-/// absorbs every lane back into `st` in fixed group order.
-///
-/// Returns the full `[round][thread]` cycle totals and attribution
-/// breakdowns, reassembled exactly as the serial loop would have produced
-/// them; the caller replays the serial wall/attribution merge over them.
-#[allow(clippy::too_many_arguments)]
-fn run_epoch_sharded(
-    st: &mut SimState<'_, '_, '_>,
-    gen: &mut WorkloadGen,
-    spec: &WorkloadSpec,
-    groups: &[LaneGroup],
-    rounds: std::ops::Range<u32>,
-    batch: u64,
-    think: u64,
-    attrib_on: bool,
-) -> (Vec<Vec<u64>>, Vec<Vec<CycleBreakdown>>) {
-    let scalars = LaneScalars {
-        mlp: st.mlp,
-        l2_tlb_hit_cycles: st.l2_tlb_hit_cycles,
-        fault_contention: st.fault_contention,
-        threads: st.threads,
-        epoch: st.epoch,
-        fast_on: st.fast_on,
-        fast_nodes: st.fast_nodes,
-        l1_line_shift: st.l1_line_shift,
-        l1_latency: st.l1_latency,
-    };
-    // Fork one set of owned parts per lane — cheap next to an epoch's
-    // work: caches clone, counters zero, sample stores start empty.
-    let mut forks: Vec<LaneParts> = groups
-        .iter()
-        .map(|g| LaneParts {
-            mem: st.mem.fork_lane(),
-            walk_caches: st.walk_caches.clone(),
-            tlbs: st.tlbs.clone(),
-            sampler: st.sampler.fork_lane(),
-            page_stats: st.page_stats.as_ref().map(|_| PageAccessStats::new()),
-            fast_uncached: st.fast_uncached.clone(),
-            streams: g
-                .threads
-                .iter()
-                .map(|&t| (t, gen.detach_thread(t)))
-                .collect(),
-        })
-        .collect();
-    let machine = st.machine;
-    let space = st.space.get();
-    let gen_ref: &WorkloadGen = gen;
-    let mut outs: Vec<Option<LaneOut>> = (0..groups.len()).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        let mut it = forks.drain(..);
-        let first = it.next().expect("at least one lane group");
-        for (g, parts) in groups[1..].iter().zip(it) {
-            let r = rounds.clone();
-            handles.push(s.spawn(move || {
-                run_lane(
-                    parts, machine, space, gen_ref, spec, g, r, batch, think, attrib_on, scalars,
-                )
-            }));
-        }
-        outs[0] = Some(run_lane(
-            first,
-            machine,
-            space,
-            gen_ref,
-            spec,
-            &groups[0],
-            rounds.clone(),
-            batch,
-            think,
-            attrib_on,
-            scalars,
-        ));
-        for (i, h) in handles.into_iter().enumerate() {
-            outs[i + 1] = Some(h.join().expect("shard lane panicked"));
-        }
-    });
-    // Deterministic absorb: always in group order, whatever order the
-    // lanes actually finished in.
-    let n_rounds = (rounds.end - rounds.start) as usize;
-    let mut cyc = vec![vec![0u64; spec.threads]; n_rounds];
-    let mut bds = vec![vec![CycleBreakdown::default(); spec.threads]; n_rounds];
-    for (g, out) in groups.iter().zip(outs) {
-        let (mut parts, lane_cyc, lane_bds) = out.expect("every lane produced a result");
-        st.mem.absorb_lane(&mut parts.mem, &g.cores, &g.nodes);
-        st.sampler.absorb_lane(&mut parts.sampler);
-        if let (Some(ps), Some(lp)) = (st.page_stats.as_mut(), parts.page_stats.as_ref()) {
-            ps.absorb(lp);
-        }
-        for &t in &g.threads {
-            std::mem::swap(&mut st.tlbs[t], &mut parts.tlbs[t]);
-            std::mem::swap(&mut st.walk_caches[t], &mut parts.walk_caches[t]);
-        }
-        for (t, stream) in parts.streams {
-            gen.attach_thread(t, stream);
-        }
-        for (ri, (lc, lb)) in lane_cyc.into_iter().zip(lane_bds).enumerate() {
-            for (j, &t) in g.threads.iter().enumerate() {
-                cyc[ri][t] = lc[j];
-            }
-            for (j, b) in lb.into_iter().enumerate() {
-                bds[ri][g.threads[j]] = b;
-            }
-        }
-    }
-    (cyc, bds)
 }
 
 #[cfg(test)]
@@ -2781,6 +2648,37 @@ mod tests {
         config
     }
 
+    /// Runs to the boundary that begins `epoch` and snapshots there.
+    fn checkpoint_at(
+        machine: &MachineSpec,
+        spec: &WorkloadSpec,
+        config: &SimConfig,
+        epoch: u32,
+    ) -> Option<Checkpoint> {
+        let mut policy = NullPolicy;
+        let mut run = Run::start(machine, spec, config, &mut policy, Hooks::default());
+        run.step_to(epoch).then(|| run.checkpoint())
+    }
+
+    fn resume(
+        machine: &MachineSpec,
+        spec: &WorkloadSpec,
+        config: &SimConfig,
+        ckpt: &Checkpoint,
+    ) -> SimResult {
+        let mut policy = NullPolicy;
+        Run::resume(
+            machine,
+            spec,
+            config,
+            &mut policy,
+            Hooks::default(),
+            ckpt,
+            true,
+        )
+        .finish()
+    }
+
     #[test]
     fn checkpoint_resume_is_bit_identical_at_every_epoch() {
         let machine = MachineSpec::test_machine();
@@ -2789,12 +2687,12 @@ mod tests {
         let full = Simulation::run(&machine, &spec, &config, &mut NullPolicy);
         let n_epochs = full.epochs.len() as u32;
         for epoch in 0..=n_epochs {
-            let ckpt = Simulation::checkpoint_at(&machine, &spec, &config, &mut NullPolicy, epoch)
+            let ckpt = checkpoint_at(&machine, &spec, &config, epoch)
                 .unwrap_or_else(|| panic!("run has {n_epochs} epochs, none at {epoch}"));
             assert_eq!(ckpt.epoch(), epoch);
             // Round-trip the envelope too: resume from decoded bytes.
             let ckpt = Checkpoint::from_bytes(&ckpt.to_bytes()).expect("envelope round-trip");
-            let resumed = Simulation::resume(&machine, &spec, &config, &mut NullPolicy, &ckpt);
+            let resumed = resume(&machine, &spec, &config, &ckpt);
             assert_eq!(resumed, full, "resume from epoch {epoch} diverged");
         }
     }
@@ -2810,25 +2708,21 @@ mod tests {
 
         // One sink threaded through both phases sees the same event stream.
         let mut spliced = DigestSink::new();
-        let ckpt = Simulation::checkpoint_at_traced(
-            &machine,
-            &spec,
-            &config,
-            &mut NullPolicy,
-            |_| {},
-            Some(&mut spliced),
-            2,
-        )
-        .expect("epoch 2 exists");
-        let resumed = Simulation::resume_traced(
-            &machine,
-            &spec,
-            &config,
-            &mut NullPolicy,
-            |_| {},
-            Some(&mut spliced),
-            &ckpt,
-        );
+        let (mut first, mut second) = (NullPolicy, NullPolicy);
+        let hooks = Hooks {
+            trace: Some(&mut spliced),
+            observer: None,
+        };
+        let mut run = Run::start(&machine, &spec, &config, &mut first, hooks);
+        assert!(run.step_to(2), "epoch 2 exists");
+        let ckpt = run.checkpoint();
+        drop(run);
+        let hooks = Hooks {
+            trace: Some(&mut spliced),
+            observer: None,
+        };
+        let resumed =
+            Run::resume(&machine, &spec, &config, &mut second, hooks, &ckpt, true).finish();
         let spliced = spliced.into_digest();
         assert_eq!(resumed, full);
         assert_eq!(spliced.diff(&whole), None, "spliced trace digest diverged");
@@ -2839,9 +2733,7 @@ mod tests {
         let machine = MachineSpec::test_machine();
         let spec = tiny_spec(AccessPattern::PrivateSlices, 4);
         let config = ckpt_config();
-        assert!(
-            Simulation::checkpoint_at(&machine, &spec, &config, &mut NullPolicy, 999).is_none()
-        );
+        assert!(checkpoint_at(&machine, &spec, &config, 999).is_none());
     }
 
     #[test]
@@ -2850,10 +2742,9 @@ mod tests {
         let machine = MachineSpec::test_machine();
         let spec = tiny_spec(AccessPattern::PrivateSlices, 4);
         let config = ckpt_config();
-        let ckpt = Simulation::checkpoint_at(&machine, &spec, &config, &mut NullPolicy, 1)
-            .expect("epoch 1 exists");
+        let ckpt = checkpoint_at(&machine, &spec, &config, 1).expect("epoch 1 exists");
         let mut other = config.clone();
         other.seed ^= 1;
-        Simulation::resume(&machine, &spec, &other, &mut NullPolicy, &ckpt);
+        resume(&machine, &spec, &other, &ckpt);
     }
 }

@@ -563,8 +563,11 @@ impl TraceEvent {
                 machine,
                 seed,
             } => format!(
-                "{{\"ev\":\"run_start\",\"workload\":\"{workload}\",\
-                 \"policy\":\"{policy}\",\"machine\":\"{machine}\",\"seed\":{seed}}}"
+                "{{\"ev\":\"run_start\",\"workload\":\"{}\",\
+                 \"policy\":\"{}\",\"machine\":\"{}\",\"seed\":{seed}}}",
+                codec::esc(workload),
+                codec::esc(policy),
+                codec::esc(machine)
             ),
             TraceEvent::PageFault {
                 epoch,
@@ -1289,6 +1292,20 @@ mod tests {
             })
             .collect();
         assert_eq!(kept, vec![0x3000, 0x4000]);
+    }
+
+    #[test]
+    fn run_start_line_escapes_names() {
+        let ev = TraceEvent::RunStart {
+            workload: r#"my "hot" \ spec"#.to_string(),
+            policy: "carrefour-lp".to_string(),
+            machine: "machine-a".to_string(),
+            seed: 7,
+        };
+        assert_eq!(
+            ev.to_json(),
+            r#"{"ev":"run_start","workload":"my \"hot\" \\ spec","policy":"carrefour-lp","machine":"machine-a","seed":7}"#
+        );
     }
 
     #[test]

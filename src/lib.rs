@@ -36,10 +36,10 @@ pub mod prelude {
     };
     pub use engine::{
         ActionError, Checkpoint, CheckpointError, CountingSink, DigestSink, EpochCtx, EpochDigest,
-        EpochRecord, EpochSnap, EventKind, FailedAction, FaultConfig, FaultRates, JsonlSink,
+        EpochRecord, EpochSnap, EventKind, FailedAction, FaultConfig, FaultRates, Hooks, JsonlSink,
         LifetimeStats, MemoryPressure, NullPolicy, NumaPolicy, PageMetrics, PolicyAction,
-        PolicyDecision, RingSink, RobustnessStats, SimConfig, SimResult, Simulation, TeeSink,
-        TraceDigest, TraceEvent, TraceSink, VecSink,
+        PolicyDecision, RingSink, RobustnessStats, Run, RunObserver, SimConfig, SimResult,
+        Simulation, TeeSink, TraceDigest, TraceEvent, TraceSink, VecSink,
     };
     pub use numa_topology::{CoreId, MachineSpec, NodeId, NodeSpec};
     pub use profiling::{IbsConfig, IbsSample, IbsSampler};
