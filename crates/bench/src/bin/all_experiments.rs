@@ -8,9 +8,9 @@
 //! to `results/BENCH_runner.json` — the repo's performance trajectory file
 //! (schema in DESIGN.md §10).
 
+use carrefour_bench::report::{self, Delta, RunnerReport};
 use carrefour_bench::runner::{self, CellOutcome, Progress, TimedCell};
 use carrefour_bench::{attrib, experiments, journal, logx};
-use codec::esc;
 use std::collections::HashMap;
 
 /// The journal suite name: one journal serves the whole binary, whatever
@@ -20,8 +20,15 @@ const SUITE: &str = "all";
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let resume = args.iter().any(|a| a == "--resume");
-    let only = only_from_args(&args);
-    let compare = compare_from_args();
+    // `--only a,b,c` runs just the named experiments (the CI
+    // kill-and-resume smoke keeps its interrupted suite small this way).
+    let only: Option<Vec<String>> = flag_value(&args, "--only").map(|v| {
+        v.split(',')
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty())
+            .collect()
+    });
+    let compare = flag_value(&args, "--compare");
     let attrib_on = std::env::args().any(|a| a == "--attrib") || carrefour_bench::attrib_enabled();
     if attrib_on {
         // The runner reads this per cell; setting it here lets `--attrib`
@@ -185,7 +192,14 @@ fn main() {
         .map(|s| s.expect("no failures, so every slot is filled"))
         .collect();
 
-    write_bench_runner_json(&exps, &exp_slots, &timed, jobs, host_cores, total_wall_secs);
+    let runner_file =
+        RunnerReport::from_run(&exps, &exp_slots, &timed, jobs, host_cores, total_wall_secs);
+    match std::fs::create_dir_all("results")
+        .and_then(|()| std::fs::write("results/BENCH_runner.json", runner_file.to_json()))
+    {
+        Ok(()) => logx::info("[all] wrote results/BENCH_runner.json"),
+        Err(e) => logx::warn(&format!("could not write results/BENCH_runner.json: {e}")),
+    }
 
     if attrib_on {
         // Bucket totals of every unique cell, one attrib-v1 file. The
@@ -220,332 +234,73 @@ fn main() {
     }
 
     if let Some(path) = compare {
-        // This suite runs every unique cell from scratch (DESIGN.md §15),
-        // so its own reuse count is an honest 0 — the gate still compares
-        // it against the baseline's figure.
-        compare_against_baseline(&path, &exps, &exp_slots, &timed, total_wall_secs, 0);
+        compare_against_baseline(&path, &runner_file);
     }
 }
 
-/// Parses `--only <a,b,c>` / `--only=a,b,c`: the comma-separated list of
-/// experiment names to run (used by the CI kill-and-resume smoke test to
-/// keep the interrupted suite small).
-fn only_from_args(args: &[String]) -> Option<Vec<String>> {
+/// The value of `--flag <v>` / `--flag=<v>`, if given.
+fn flag_value(args: &[String], flag: &str) -> Option<String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let v = if a == "--only" {
-            it.next().cloned()
-        } else {
-            a.strip_prefix("--only=").map(str::to_string)
-        };
-        if let Some(v) = v {
-            return Some(
-                v.split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect(),
-            );
-        }
-    }
-    None
-}
-
-/// Parses `--compare <path>` / `--compare=<path>` out of the arguments.
-fn compare_from_args() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--compare" {
+        if a == flag {
             return it.next().cloned();
         }
-        if let Some(v) = a.strip_prefix("--compare=") {
+        if let Some(v) = a.strip_prefix(flag).and_then(|r| r.strip_prefix('=')) {
             return Some(v.to_string());
         }
     }
     None
 }
 
-/// Pulls `"key": <float>` out of a JSON object line (our own stable
-/// format — see `write_bench_runner_json` — so a full parser is not
-/// needed and the build stays dependency-free).
-fn json_f64(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Pulls `"key": "<string>"` out of a JSON object line.
-fn json_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
 /// Compares this run's per-experiment wall-clock against a committed
 /// baseline (`results/BENCH_baseline.json`, any `bench-runner-v*`
 /// schema) and prints a speedup/regression table to stderr.
 ///
-/// Regressions beyond 25 % are reported as warnings (GitHub `::warning::`
-/// annotations in CI) but never change the exit code: wall-clock on
-/// shared runners is noisy, and a hard gate on it would flake. Only
-/// experiments that own cells in *both* runs are compared — a `0.000`
-/// baseline (fully deduped experiment) has no meaningful ratio.
-fn compare_against_baseline(
-    path: &str,
-    exps: &[experiments::Experiment],
-    exp_slots: &[Vec<usize>],
-    timed: &[TimedCell],
-    total_wall_secs: f64,
-    epochs_reused_now: u64,
-) {
-    let Ok(base) = std::fs::read_to_string(path) else {
+/// Regressions ([`Delta::regressed`]) are reported as warnings (GitHub
+/// `::warning::` annotations in CI) but never change the exit code:
+/// wall-clock on shared runners is noisy, and a hard gate on it would
+/// flake.
+fn compare_against_baseline(path: &str, now: &RunnerReport) {
+    let Some(base) = std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| report::parse_runner_json(&text))
+    else {
         logx::info(&format!(
             "[all] --compare: cannot read {path}; skipping comparison"
         ));
         return;
     };
-    let mut base_exps: HashMap<String, f64> = HashMap::new();
-    let mut base_total: Option<f64> = None;
-    let mut base_reused: Option<f64> = None;
-    let mut in_experiments = false;
-    for line in base.lines() {
-        if let Some(t) = json_f64(line, "total_wall_secs") {
-            base_total = Some(t);
-        }
-        if let Some(r) = json_f64(line, "epochs_reused") {
-            base_reused = Some(r);
-        }
-        if line.contains("\"experiments\": [") {
-            in_experiments = true;
-            continue;
-        }
-        if in_experiments {
-            if line.trim_start().starts_with(']') {
-                in_experiments = false;
-                continue;
-            }
-            if let (Some(name), Some(secs)) = (json_str(line, "name"), json_f64(line, "wall_secs"))
-            {
-                base_exps.insert(name, secs);
-            }
-        }
-    }
-    let owner = owners(exp_slots, timed.len());
     logx::info(&format!("[all] comparison against {path}:"));
     let mut regressions = 0usize;
-    for (i, e) in exps.iter().enumerate() {
-        let now = owned_secs(&owner, timed, i);
-        let Some(&before) = base_exps.get(e.name) else {
-            continue;
-        };
-        if before <= 0.0 || now <= 0.0 {
-            continue; // fully deduped on one side: no meaningful ratio
-        }
-        let ratio = before / now;
-        let note = if now > before * 1.25 {
-            regressions += 1;
+    for d in report::experiment_deltas(now, &base) {
+        regressions += usize::from(d.regressed());
+        let note = if d.regressed() {
             "  <-- REGRESSION"
         } else {
             ""
         };
         logx::info(&format!(
-            "[all]   {:<12} {:>8.3}s -> {:>8.3}s  ({:.2}x){}",
-            e.name, before, now, ratio, note
+            "[all]   {:<12} {:>8.3}s -> {:>8.3}s  ({:.2}x){note}",
+            d.name,
+            d.before,
+            d.now,
+            d.ratio()
         ));
     }
-    if let Some(bt) = base_total {
-        if bt > 0.0 && total_wall_secs > 0.0 {
-            logx::info(&format!(
-                "[all]   {:<12} {:>8.3}s -> {:>8.3}s  ({:.2}x)",
-                "TOTAL",
-                bt,
-                total_wall_secs,
-                bt / total_wall_secs
-            ));
-            if total_wall_secs > bt * 1.25 {
-                regressions += 1;
-            }
-        }
+    if let Some(d) = Delta::new("TOTAL", base.total_wall_secs, now.total_wall_secs) {
+        regressions += usize::from(d.regressed());
+        logx::info(&format!(
+            "[all]   {:<12} {:>8.3}s -> {:>8.3}s  ({:.2}x)",
+            d.name,
+            d.before,
+            d.now,
+            d.ratio()
+        ));
     }
     if regressions > 0 {
-        // Soft failure: annotate, never gate (wall clock is noisy).
         println!(
             "::warning::all_experiments is >25% slower than {path} in {regressions} row(s); \
              see the comparison table in the job log"
         );
-    }
-    // Epoch-reuse regressions, soft-gated the same way: a baseline that
-    // shared prefix epochs while this run shares >25% fewer means the
-    // fork-tree stopped helping (a dedup key or family split broke),
-    // which wall-clock noise can mask on a fast host.
-    if let Some(before) = base_reused {
-        let now = epochs_reused_now as f64;
-        logx::info(&format!(
-            "[all]   {:<12} {:>8.0} -> {:>8.0} epochs reused",
-            "REUSE", before, now
-        ));
-        if before > 0.0 && now < before * 0.75 {
-            println!(
-                "::warning::all_experiments reused {now:.0} prefix epochs vs {before:.0} in \
-                 {path} (>25% drop); fork-tree sharing may have regressed"
-            );
-        }
-    }
-}
-
-/// First-submitter attribution: `owner[slot]` is the index of the first
-/// experiment that submitted the unique cell in `slot`.
-fn owners(exp_slots: &[Vec<usize>], n_cells: usize) -> Vec<usize> {
-    let mut owner = vec![usize::MAX; n_cells];
-    for (ei, slots) in exp_slots.iter().enumerate() {
-        for &s in slots {
-            if owner[s] == usize::MAX {
-                owner[s] = ei;
-            }
-        }
-    }
-    owner
-}
-
-/// Wall-clock seconds of the unique cells owned by experiment `i`.
-/// Exactly `0.0` (positive zero) when it owns none: f64's empty-sum
-/// identity is `-0.0`, which would otherwise print as `-0.000`.
-fn owned_secs(owner: &[usize], timed: &[TimedCell], i: usize) -> f64 {
-    let s: f64 = owner
-        .iter()
-        .zip(timed)
-        .filter(|(&o, _)| o == i)
-        .map(|(_, t)| t.wall_secs)
-        .sum();
-    if s <= 0.0 {
-        0.0
-    } else {
-        s
-    }
-}
-
-/// Writes `results/BENCH_runner.json` (best effort, like `save_json`).
-/// The schema is documented in DESIGN.md §10 (v1–v4) and §16 (v5: the
-/// per-cell span fields and the suite-level `spans` rollup).
-fn write_bench_runner_json(
-    exps: &[experiments::Experiment],
-    exp_slots: &[Vec<usize>],
-    timed: &[TimedCell],
-    jobs: usize,
-    host_cores: usize,
-    total_wall_secs: f64,
-) {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"bench-runner-v5\",\n");
-    out.push_str(&format!(
-        "  \"shards\": \"{}\",\n",
-        esc(&std::env::var("CARREFOUR_SHARDS").unwrap_or_else(|_| "auto".into()))
-    ));
-    out.push_str(&format!("  \"jobs\": {jobs},\n"));
-    out.push_str(&format!("  \"host_cores\": {host_cores},\n"));
-    out.push_str(&format!("  \"total_wall_secs\": {total_wall_secs:.3},\n"));
-    out.push_str(&format!("  \"unique_cells\": {},\n", timed.len()));
-    let submitted: usize = exp_slots.iter().map(Vec::len).sum();
-    out.push_str(&format!("  \"submitted_cells\": {submitted},\n"));
-    // Prefix-sharing counters (new in v4). The figure suite deliberately
-    // runs every unique cell from scratch — per-cell journaling and
-    // crash-resume depend on each cell being an independent unit
-    // (DESIGN.md §15) — so `epochs_reused` is an honest 0 here and
-    // `families` is empty; the sweep's fork-tree reuse is accounted in
-    // results/SWEEP_lp.json (schema sweep-v1), where sharing actually
-    // runs. The fields exist in both files so trajectory tooling reads
-    // one shape.
-    let epochs_simulated: u64 = timed
-        .iter()
-        .map(|t| t.cell.result.epochs.len() as u64)
-        .sum();
-    out.push_str(&format!("  \"epochs_simulated\": {epochs_simulated},\n"));
-    out.push_str("  \"epochs_reused\": 0,\n");
-    out.push_str("  \"families\": [],\n");
-    // Span rollup (new in v5). Sums cover only cells run by *this*
-    // process: journal-restored rows carry zero spans (from_journal),
-    // so a resumed suite's rollup stays honest about where its own
-    // wall-clock went. Worker count and lane occupancy come from the
-    // same per-cell samples the report's timeline view draws.
-    let live: Vec<&TimedCell> = timed.iter().filter(|t| !t.spans.from_journal).collect();
-    let queue_wait: f64 = live.iter().map(|t| t.spans.queue_wait_secs).sum();
-    let simulate: f64 = live.iter().map(|t| t.spans.simulate_secs).sum();
-    let merge: f64 = live.iter().map(|t| t.spans.merge_secs).sum();
-    let workers_used = live
-        .iter()
-        .map(|t| t.spans.worker)
-        .collect::<std::collections::HashSet<_>>()
-        .len();
-    let lanes_free_min = live
-        .iter()
-        .map(|t| t.spans.lanes_free_start.min(t.spans.lanes_free_done))
-        .min()
-        .unwrap_or(0);
-    let lanes_free_max = live
-        .iter()
-        .map(|t| t.spans.lanes_free_start.max(t.spans.lanes_free_done))
-        .max()
-        .unwrap_or(0);
-    out.push_str(&format!(
-        "  \"spans\": {{\"live_cells\": {}, \"queue_wait_total_secs\": {:.3}, \
-         \"simulate_total_secs\": {:.3}, \"merge_total_secs\": {:.3}, \
-         \"workers_used\": {}, \"lanes_free_min\": {}, \"lanes_free_max\": {}}},\n",
-        live.len(),
-        queue_wait,
-        simulate,
-        merge,
-        workers_used,
-        lanes_free_min,
-        lanes_free_max,
-    ));
-    // Attribute each unique cell's cost to the first experiment that
-    // submitted it, so per-experiment seconds sum to the cell total.
-    let owner = owners(exp_slots, timed.len());
-    out.push_str("  \"experiments\": [\n");
-    for (i, (e, slots)) in exps.iter().zip(exp_slots).enumerate() {
-        // An experiment whose cells all landed in earlier experiments'
-        // slots owns nothing: wall_secs is a positive 0.000 (the naive
-        // f64 sum is -0.0, which printed as "-0.000" under schema v1)
-        // and reused_cells records how many of its cells were deduped.
-        let reused = slots.iter().filter(|&&s| owner[s] != i).count();
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"cells\": {}, \"reused_cells\": {}, \"wall_secs\": {:.3}}}{}\n",
-            esc(e.name),
-            slots.len(),
-            reused,
-            owned_secs(&owner, timed, i),
-            if i + 1 < exps.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"cells\": [\n");
-    for (i, t) in timed.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"machine\": \"{}\", \"benchmark\": \"{}\", \"policy\": \"{}\", \"wall_secs\": {:.3}, \"estimated_ops\": {}, \"actual_ops\": {}, \"queue_wait_secs\": {:.3}, \"merge_secs\": {:.3}, \"worker\": {}, \"lanes_free_start\": {}, \"from_journal\": {}}}{}\n",
-            esc(&t.cell.machine),
-            esc(&t.cell.benchmark),
-            esc(&t.cell.policy),
-            t.wall_secs,
-            t.estimated_ops,
-            t.cell.result.lifetime.total_ops,
-            t.spans.queue_wait_secs,
-            t.spans.merge_secs,
-            t.spans.worker,
-            t.spans.lanes_free_start,
-            t.spans.from_journal,
-            if i + 1 < timed.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    match std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/BENCH_runner.json", &out))
-    {
-        Ok(()) => logx::info("[all] wrote results/BENCH_runner.json"),
-        Err(e) => logx::warn(&format!("could not write results/BENCH_runner.json: {e}")),
     }
 }

@@ -13,7 +13,7 @@
 //! per-worker busy+idle decomposition must re-compose the suite
 //! wall-clock within 5 % (DESIGN.md §16).
 
-use carrefour_bench::{logx, report};
+use carrefour_bench::{journal, logx, report};
 use std::path::Path;
 
 fn main() {
@@ -29,18 +29,9 @@ fn main() {
     let baseline_text = std::fs::read_to_string("results/BENCH_baseline.json").ok();
     let baseline = baseline_text.as_deref().and_then(report::parse_runner_json);
     let attrib_present = Path::new("results/ATTRIB_all.json").exists();
-    let journal = std::fs::read_to_string("results/journal_all.jsonl")
+    let journal = std::fs::read_to_string(journal::journal_path("all"))
         .ok()
-        .map(|t| {
-            (
-                t.lines()
-                    .filter(|l| l.contains("\"status\":\"ok\""))
-                    .count(),
-                t.lines()
-                    .filter(|l| l.contains("\"status\":\"panicked\""))
-                    .count(),
-            )
-        });
+        .map(|t| journal::outcome_counts(&t));
 
     let html = report::html_report(
         &series,

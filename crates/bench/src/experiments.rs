@@ -1,29 +1,29 @@
 //! Cell definitions and rendering for every figure/table experiment.
 //!
-//! Each experiment used to live entirely inside its own binary, repeating
-//! the same machine/workload setup and inline threading. Here every
-//! experiment is reduced to its two irreducible parts:
+//! Every experiment is reduced to its two irreducible parts:
 //!
 //! * **specs** — the list of [`CellSpec`]s it needs, built by a pure
 //!   function of the paper's (machine × benchmark × policy) choices;
 //! * **render** — a function from the resulting [`Cell`] rows to the
 //!   paper-layout stdout table plus the `results/*.json` file.
 //!
-//! The binaries shrink to one [`run_standalone`] call, and
-//! `all_experiments` can fetch every experiment via [`all`], dedup
+//! `all_experiments` fetches every experiment via [`all`], dedups
 //! identical cells across experiments (sound because the simulator is
-//! deterministic: equal [`CellSpec::key`]s imply equal results), and run
-//! the union through one shared pool.
+//! deterministic: equal [`CellSpec::key`]s imply equal results), and runs
+//! the union through one shared pool; `all_experiments --only <name>`
+//! runs one experiment (or a comma-separated few) by its registry name —
+//! `fig1`…`fig5`, `table1`…`table3`, `overhead`, `verylarge`, `figPT`,
+//! `tuned`.
 
-use crate::runner::{self, CellSpec, Progress};
+use crate::runner::CellSpec;
 use crate::{find, improvement, machines, save_json, Cell, PolicyKind};
 use numa_topology::MachineSpec;
 use workloads::Benchmark;
 
-/// One experiment: its name (binary name and `results/` stem), the cells
-/// it needs, and how it renders them.
+/// One experiment: its name (`--only` name and `results/` stem), the
+/// cells it needs, and how it renders them.
 pub struct Experiment {
-    /// Binary/experiment name (`fig1`, `table2`, ...).
+    /// Experiment name (`fig1`, `table2`, ...).
     pub name: &'static str,
     /// Cells in submission order. Renderers may rely on this order.
     pub specs: Vec<CellSpec>,
@@ -95,19 +95,6 @@ pub fn all() -> Vec<Experiment> {
             render: tuned_render,
         },
     ]
-}
-
-/// Runs one experiment by name on the shared runner — the entire body of
-/// each standalone binary.
-pub fn run_standalone(name: &str) {
-    let exp = all()
-        .into_iter()
-        .find(|e| e.name == name)
-        .unwrap_or_else(|| panic!("unknown experiment {name}"));
-    let progress = Progress::new(exp.name, exp.specs.len());
-    let cells = runner::run_cells(&exp.specs, runner::default_jobs(), &progress);
-    progress.finish();
-    (exp.render)(&cells);
 }
 
 /// The full benchmark set minus streamcluster (which only appears in the

@@ -222,4 +222,20 @@ mod tests {
         let dir = golden_dir();
         assert!(dir.ends_with("tests/golden"), "{}", dir.display());
     }
+
+    #[test]
+    fn every_golden_file_reserialises_byte_for_byte() {
+        let mut n = 0;
+        for entry in std::fs::read_dir(golden_dir()).expect("golden dir is checked in") {
+            let path = entry.expect("readable dir entry").path();
+            if path.extension().is_none_or(|e| e != "json") {
+                continue;
+            }
+            n += 1;
+            let text = std::fs::read_to_string(&path).expect("golden file is checked in");
+            let digest = TraceDigest::from_json(&text).expect("golden file parses");
+            assert_eq!(digest.to_json(), text, "{}", path.display());
+        }
+        assert_eq!(n, GOLDEN_CELLS.len());
+    }
 }

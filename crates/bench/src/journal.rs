@@ -30,6 +30,7 @@
 use crate::runner::TimedCell;
 use crate::Cell;
 use codec::esc;
+use codec::json::{f64_field, str_field};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
@@ -72,11 +73,6 @@ impl Journal {
         })
     }
 
-    /// The journal file's path (for messages and CI artifacts).
-    pub fn path(&self) -> &std::path::Path {
-        &self.path
-    }
-
     /// Appends one completed cell. Write errors warn on stderr — the suite
     /// keeps running, it just loses resumability for this cell.
     pub fn record_ok(&self, key: &str, timed: &TimedCell) {
@@ -113,21 +109,15 @@ impl Journal {
 }
 
 /// Loads every decodable `"ok"` cell from a suite's journal, keyed by
-/// [`CellSpec::key`]. Missing file means an empty map (a fresh run). Torn,
-/// corrupt, or failed lines are skipped; a later line for the same key
-/// replaces an earlier one.
+/// [`CellSpec::key`], plus the number of *stale* lines that were
+/// superseded by a later line for the same key (the later-line-wins rule
+/// firing). A missing file means an empty map (a fresh run). Torn,
+/// corrupt, or failed lines are skipped. A crash between append and kill
+/// can journal a cell twice, and a retry after a panic line legitimately
+/// re-journals the key — the count lets `--resume` report how much of
+/// the journal it discarded rather than silently folding duplicates.
 ///
 /// [`CellSpec::key`]: crate::runner::CellSpec::key
-pub fn load(suite: &str) -> HashMap<String, JournaledCell> {
-    load_counted(suite).0
-}
-
-/// [`load`], plus the number of *stale* lines that were superseded by a
-/// later line for the same key (the later-line-wins rule firing). A
-/// crash between append and kill can journal a cell twice, and a retry
-/// after a panic line legitimately re-journals the key — the count lets
-/// `--resume` report how much of the journal it discarded rather than
-/// silently folding duplicates.
 pub fn load_counted(suite: &str) -> (HashMap<String, JournaledCell>, usize) {
     match std::fs::read_to_string(journal_path(suite)) {
         Ok(text) => load_from_str(&text),
@@ -141,12 +131,12 @@ fn load_from_str(text: &str) -> (HashMap<String, JournaledCell>, usize) {
     let mut out = HashMap::new();
     let mut stale = 0usize;
     for line in text.lines() {
-        let Some(key) = json_string_field(line, "key") else {
+        let Some((key, status)) = key_and_status(line) else {
             continue;
         };
-        match json_string_field(line, "status").as_deref() {
-            Some("ok") => {
-                let Some(blob) = json_string_field(line, "blob") else {
+        match status.as_str() {
+            "ok" => {
+                let Some(blob) = str_field(line, "blob") else {
                     continue;
                 };
                 let Some(bytes) = codec::from_hex(&blob) else {
@@ -156,13 +146,13 @@ fn load_from_str(text: &str) -> (HashMap<String, JournaledCell>, usize) {
                     continue; // torn line: checksum failed, cell re-runs
                 };
                 let (Some(machine), Some(benchmark), Some(policy)) = (
-                    json_string_field(line, "machine"),
-                    json_string_field(line, "benchmark"),
-                    json_string_field(line, "policy"),
+                    str_field(line, "machine"),
+                    str_field(line, "benchmark"),
+                    str_field(line, "policy"),
                 ) else {
                     continue;
                 };
-                let wall_secs = json_number_field(line, "wall_secs").unwrap_or(0.0);
+                let wall_secs = f64_field(line, "wall_secs").unwrap_or(0.0);
                 let prev = out.insert(
                     key,
                     JournaledCell {
@@ -179,85 +169,39 @@ fn load_from_str(text: &str) -> (HashMap<String, JournaledCell>, usize) {
             }
             // A later failure line invalidates an earlier success for the
             // same key (it should not happen, but the newest verdict wins).
-            Some(_) => {
+            _ => {
                 stale += usize::from(out.remove(&key).is_some());
             }
-            None => {}
         }
     }
     (out, stale)
 }
 
-/// Extracts the string value of `"name":"…"` from one JSON line, undoing
-/// the escapes [`esc`] produces. Cell keys contain quote characters (they
-/// embed `Debug`-formatted specs), so this must walk escapes rather than
-/// scan for the next raw quote.
-fn json_string_field(line: &str, name: &str) -> Option<String> {
-    let marker = format!("\"{name}\":\"");
-    let start = line.find(&marker)? + marker.len();
-    let mut out = String::new();
-    let mut chars = line[start..].chars();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let code: String = (&mut chars).take(4).collect();
-                    let v = u32::from_str_radix(&code, 16).ok()?;
-                    out.push(char::from_u32(v)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
+/// Counts a journal's `(ok, failed)` lines by their `status`, read the
+/// way [`load_counted`] reads it. Unlike the loader it does not decode
+/// blobs: an `"ok"` line counts even when its blob is torn.
+pub fn outcome_counts(text: &str) -> (usize, usize) {
+    let mut counts = (0, 0);
+    for (_, status) in text.lines().filter_map(key_and_status) {
+        if status == "ok" {
+            counts.0 += 1;
+        } else {
+            counts.1 += 1;
         }
     }
+    counts
 }
 
-/// Extracts the numeric value of `"name":<number>` from one JSON line.
-fn json_number_field(line: &str, name: &str) -> Option<f64> {
-    let marker = format!("\"{name}\":");
-    let start = line.find(&marker)? + marker.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| {
-            c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' && !c.is_ascii_digit()
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// A journal line's `(key, status)`; `None` when either is missing.
+fn key_and_status(line: &str) -> Option<(String, String)> {
+    Some((str_field(line, "key")?, str_field(line, "status")?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn string_fields_round_trip_through_escapes() {
-        let key = "machine-a|UaB|Some(FaultConfig { seed: 1 })|\"quoted\"\\back";
-        let line = format!(
-            "{{\"key\":\"{}\",\"status\":\"ok\",\"msg\":\"tab\\there\"}}",
-            esc(key)
-        );
-        assert_eq!(json_string_field(&line, "key").as_deref(), Some(key));
-        assert_eq!(json_string_field(&line, "status").as_deref(), Some("ok"));
-        assert_eq!(
-            json_string_field(&line, "msg").as_deref(),
-            Some("tab\there")
-        );
-        assert_eq!(json_string_field(&line, "absent"), None);
-    }
-
-    #[test]
-    fn number_fields_parse() {
-        let line = "{\"wall_secs\":1.25,\"n\":-3e2}";
-        assert_eq!(json_number_field(line, "wall_secs"), Some(1.25));
-        assert_eq!(json_number_field(line, "n"), Some(-300.0));
-        assert_eq!(json_number_field(line, "absent"), None);
-    }
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     /// One valid journal line for `key`, exactly as [`Journal::record_ok`]
     /// writes it (same format string, no file involved).
@@ -319,9 +263,67 @@ mod tests {
         let (map, stale) = load_from_str(&text);
         assert!(map.is_empty(), "the newest verdict is a failure");
         assert_eq!(stale, 1);
+        assert_eq!(outcome_counts(&text), (1, 1));
         // A failure for a key never journaled ok counts nothing.
         let (_, stale2) =
             load_from_str("{\"key\":\"ghost\",\"status\":\"panicked\",\"msg\":\"x\"}\n");
         assert_eq!(stale2, 0);
+    }
+
+    /// A two-cell journal and the encoded result both of its lines carry.
+    fn sample_journal() -> &'static (String, Vec<u8>) {
+        static SAMPLE: OnceLock<(String, Vec<u8>)> = OnceLock::new();
+        SAMPLE.get_or_init(|| {
+            let r = small_result();
+            let text = format!(
+                "{}\n{}\n",
+                ok_line("cell-a", &r, 1.0),
+                ok_line("cell-b", &r, 2.0)
+            );
+            (text, engine::checkpoint::encode_result(&r))
+        })
+    }
+
+    /// Loads damaged journal text: it must not panic, and every cell it
+    /// keeps must come from a blob whose checksum verified — the original
+    /// result, bit for bit.
+    fn load_damaged(text: &str) -> HashMap<String, JournaledCell> {
+        let (map, _) = load_from_str(text);
+        for j in map.values() {
+            let bytes = engine::checkpoint::encode_result(&j.cell.result);
+            assert!(bytes == sample_journal().1, "a corrupt blob was loaded");
+        }
+        map
+    }
+
+    proptest! {
+        #[test]
+        fn truncated_journal_loads_only_whole_lines(cut in 0usize..sample_journal().0.len()) {
+            let text = &sample_journal().0;
+            let map = load_damaged(&text[..cut]);
+            // A line loads once its blob's closing quote survives the cut.
+            let blob_ends: Vec<usize> = text.match_indices("\"}").map(|(i, _)| i + 1).collect();
+            prop_assert_eq!(map.contains_key("cell-a"), cut >= blob_ends[0]);
+            prop_assert_eq!(map.contains_key("cell-b"), cut >= blob_ends[1]);
+        }
+
+        #[test]
+        fn bit_flipped_journal_never_panics(pos in 0usize..sample_journal().0.len(), bit in 0u32..8) {
+            let mut bytes = sample_journal().0.clone().into_bytes();
+            bytes[pos] ^= 1 << bit;
+            load_damaged(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn random_bytes_never_panic(seed in 0u64..u64::MAX, len in 0usize..512) {
+            let mut rng = CaseRng::new("journal-bytes", seed);
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            prop_assert!(load_damaged(&String::from_utf8_lossy(&bytes)).is_empty());
+            // Random bytes spliced into a valid journal.
+            let mut spliced = sample_journal().0.clone().into_bytes();
+            let at = (seed as usize) % spliced.len();
+            spliced.splice(at..at, bytes);
+            load_damaged(&String::from_utf8_lossy(&spliced));
+        }
     }
 }

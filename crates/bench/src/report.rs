@@ -2,7 +2,7 @@
 //!
 //! Assembles everything the flight recorder and the runner leave behind —
 //! per-epoch metric time-series from [`engine::recorder`], span profiling
-//! from `results/BENCH_runner.json` (bench-runner-v5), the attribution
+//! from `results/BENCH_runner.json`, the attribution
 //! file, the crash journal, and the committed baseline — into **one**
 //! HTML file with no external assets: styles are inline, charts are
 //! hand-rolled inline SVG (the build is dependency-free, DESIGN.md §16).
@@ -19,8 +19,16 @@
 //! merge) plus idle must re-compose the suite wall-clock to within 5 % —
 //! the acceptance bound for the runner's span accounting. A failing
 //! check renders loudly in the report and warns on stderr.
+//!
+//! This module also owns the `BENCH_runner.json` format ([`RunnerReport`],
+//! schema [`RUNNER_SCHEMA`]) and the one regression rule ([`Delta`]) that
+//! both the report and `all_experiments --compare` apply.
 
+use crate::experiments::Experiment;
 use crate::golden::GOLDEN_CELLS;
+use crate::runner::TimedCell;
+use codec::esc;
+use codec::json::{bool_field, f64_field, str_field, u64_field};
 use engine::{
     Hooks, JsonlMetricsRecorder, MetricsRow, Run, SimConfig, TeeMetricsRecorder, VecMetricsRecorder,
 };
@@ -85,9 +93,72 @@ pub fn record_golden_cells(dir: &Path) -> Vec<CellSeries> {
     })
 }
 
+/// The `BENCH_runner.json` schema tag this module writes. The parser
+/// reads every `bench-runner-v*` file; v6 dropped v4/v5's always-zero
+/// `epochs_reused` and empty `families` (DESIGN.md §10).
+pub const RUNNER_SCHEMA: &str = "bench-runner-v6";
+
+/// A `BENCH_runner.json` file: the suite's per-experiment and per-cell
+/// wall-clock plus the v5 span rollup. [`RunnerReport::from_run`] builds
+/// it, [`RunnerReport::to_json`] writes it and [`parse_runner_json`]
+/// reads it back; no other code knows the format.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct RunnerReport {
+    /// Schema tag ([`RUNNER_SCHEMA`] when written by this build).
+    pub schema: String,
+    /// `CARREFOUR_SHARDS` at run time (`auto` when unset).
+    pub shards: String,
+    /// Worker threads.
+    pub jobs: usize,
+    /// Host cores the run saw.
+    pub host_cores: usize,
+    /// Suite wall-clock seconds.
+    pub total_wall_secs: f64,
+    /// Epochs simulated across every unique cell.
+    pub epochs_simulated: u64,
+    /// Span totals over the cells this process ran.
+    pub spans: SpanRollup,
+    /// One row per experiment, in run order.
+    pub experiments: Vec<RunnerExperimentRow>,
+    /// One row per unique cell.
+    pub cells: Vec<RunnerCellRow>,
+}
+
+/// Span totals over a suite's live (not journal-restored) cells.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct SpanRollup {
+    /// Cells run by this process.
+    pub live_cells: usize,
+    /// Summed queue wait.
+    pub queue_wait_total_secs: f64,
+    /// Summed simulate time.
+    pub simulate_total_secs: f64,
+    /// Summed merge time.
+    pub merge_total_secs: f64,
+    /// Distinct workers that ran a cell.
+    pub workers_used: usize,
+    /// Fewest free shard lanes seen at any cell start or finish.
+    pub lanes_free_min: usize,
+    /// Most free shard lanes seen at any cell start or finish.
+    pub lanes_free_max: usize,
+}
+
+/// One experiment row of a `BENCH_runner.json` file.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct RunnerExperimentRow {
+    /// Experiment name (`fig1`, `figPT`, ...).
+    pub name: String,
+    /// Cells the experiment submitted.
+    pub cells: usize,
+    /// Of those, cells an earlier experiment owns (deduped).
+    pub reused_cells: usize,
+    /// Seconds of the unique cells this experiment owns.
+    pub wall_secs: f64,
+}
+
 /// One per-cell row of a `BENCH_runner.json` file. Span fields are zero
 /// when absent (a pre-v5 baseline parses with empty spans).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunnerCellRow {
     /// Machine name.
     pub machine: String,
@@ -97,114 +168,304 @@ pub struct RunnerCellRow {
     pub policy: String,
     /// Simulate seconds (the span's simulate phase).
     pub wall_secs: f64,
+    /// The scheduler's a-priori cost estimate.
+    pub estimated_ops: u64,
+    /// Operations the cell actually simulated.
+    pub actual_ops: u64,
     /// Seconds between suite start and worker pickup.
     pub queue_wait_secs: f64,
     /// Seconds in the post-simulate merge/journal/progress step.
     pub merge_secs: f64,
     /// Worker lane (first-pickup numbering).
     pub worker: usize,
+    /// Free shard lanes when the cell started.
+    pub lanes_free_start: usize,
     /// True when the row was restored from the crash journal.
     pub from_journal: bool,
 }
 
-/// The slice of a `BENCH_runner.json` file the report reads.
-#[derive(Clone, Debug, Default)]
-pub struct RunnerReport {
-    /// Schema tag (`bench-runner-v5`).
-    pub schema: String,
-    /// Suite wall-clock seconds.
-    pub total_wall_secs: f64,
-    /// Prefix epochs reused (0 for the figure suite).
-    pub epochs_reused: f64,
-    /// Per-experiment `(name, owned wall seconds)`.
-    pub experiments: Vec<(String, f64)>,
-    /// Per-cell rows.
-    pub cells: Vec<RunnerCellRow>,
+impl RunnerReport {
+    /// The report of a finished suite. `exp_slots[i]` lists the indices
+    /// into `timed` of experiment `i`'s cells; each unique cell's seconds
+    /// go to the first experiment that submitted it, so per-experiment
+    /// seconds sum to the cell total.
+    pub fn from_run(
+        exps: &[Experiment],
+        exp_slots: &[Vec<usize>],
+        timed: &[TimedCell],
+        jobs: usize,
+        host_cores: usize,
+        total_wall_secs: f64,
+    ) -> RunnerReport {
+        // Span sums cover only cells run by *this* process: journal-
+        // restored rows carry zero spans, so a resumed suite's rollup
+        // stays honest about where its own wall-clock went.
+        let live: Vec<&TimedCell> = timed.iter().filter(|t| !t.spans.from_journal).collect();
+        let lanes_free = live
+            .iter()
+            .flat_map(|t| [t.spans.lanes_free_start, t.spans.lanes_free_done]);
+        let spans = SpanRollup {
+            live_cells: live.len(),
+            queue_wait_total_secs: live.iter().map(|t| t.spans.queue_wait_secs).sum(),
+            simulate_total_secs: live.iter().map(|t| t.spans.simulate_secs).sum(),
+            merge_total_secs: live.iter().map(|t| t.spans.merge_secs).sum(),
+            workers_used: live
+                .iter()
+                .map(|t| t.spans.worker)
+                .collect::<std::collections::HashSet<_>>()
+                .len(),
+            lanes_free_min: lanes_free.clone().min().unwrap_or(0),
+            lanes_free_max: lanes_free.max().unwrap_or(0),
+        };
+        let owner = owners(exp_slots, timed.len());
+        let experiments = exps
+            .iter()
+            .zip(exp_slots)
+            .enumerate()
+            .map(|(i, (e, slots))| RunnerExperimentRow {
+                name: e.name.to_string(),
+                cells: slots.len(),
+                reused_cells: slots.iter().filter(|&&s| owner[s] != i).count(),
+                wall_secs: owned_secs(&owner, timed, i),
+            })
+            .collect();
+        let cells = timed
+            .iter()
+            .map(|t| RunnerCellRow {
+                machine: t.cell.machine.clone(),
+                benchmark: t.cell.benchmark.clone(),
+                policy: t.cell.policy.clone(),
+                wall_secs: t.wall_secs,
+                estimated_ops: t.estimated_ops,
+                actual_ops: t.cell.result.lifetime.total_ops,
+                queue_wait_secs: t.spans.queue_wait_secs,
+                merge_secs: t.spans.merge_secs,
+                worker: t.spans.worker,
+                lanes_free_start: t.spans.lanes_free_start,
+                from_journal: t.spans.from_journal,
+            })
+            .collect();
+        RunnerReport {
+            schema: RUNNER_SCHEMA.to_string(),
+            shards: std::env::var("CARREFOUR_SHARDS").unwrap_or_else(|_| "auto".into()),
+            jobs,
+            host_cores,
+            total_wall_secs,
+            epochs_simulated: timed
+                .iter()
+                .map(|t| t.cell.result.epochs.len() as u64)
+                .sum(),
+            spans,
+            experiments,
+            cells,
+        }
+    }
+
+    /// The file text: one field or row per line, seconds to the
+    /// millisecond (schema in DESIGN.md §10 and §16).
+    pub fn to_json(&self) -> String {
+        let mut out = String::from("{\n");
+        out.push_str(&format!("  \"schema\": \"{}\",\n", esc(&self.schema)));
+        out.push_str(&format!("  \"shards\": \"{}\",\n", esc(&self.shards)));
+        out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
+        out.push_str(&format!("  \"host_cores\": {},\n", self.host_cores));
+        out.push_str(&format!(
+            "  \"total_wall_secs\": {:.3},\n",
+            self.total_wall_secs
+        ));
+        out.push_str(&format!("  \"unique_cells\": {},\n", self.cells.len()));
+        let submitted: usize = self.experiments.iter().map(|e| e.cells).sum();
+        out.push_str(&format!("  \"submitted_cells\": {submitted},\n"));
+        out.push_str(&format!(
+            "  \"epochs_simulated\": {},\n",
+            self.epochs_simulated
+        ));
+        let s = &self.spans;
+        out.push_str(&format!(
+            "  \"spans\": {{\"live_cells\": {}, \"queue_wait_total_secs\": {:.3}, \
+             \"simulate_total_secs\": {:.3}, \"merge_total_secs\": {:.3}, \
+             \"workers_used\": {}, \"lanes_free_min\": {}, \"lanes_free_max\": {}}},\n",
+            s.live_cells,
+            s.queue_wait_total_secs,
+            s.simulate_total_secs,
+            s.merge_total_secs,
+            s.workers_used,
+            s.lanes_free_min,
+            s.lanes_free_max,
+        ));
+        out.push_str("  \"experiments\": [\n");
+        for (i, e) in self.experiments.iter().enumerate() {
+            out.push_str(&format!(
+                "    {{\"name\": \"{}\", \"cells\": {}, \"reused_cells\": {}, \"wall_secs\": {:.3}}}{}\n",
+                esc(&e.name),
+                e.cells,
+                e.reused_cells,
+                e.wall_secs,
+                if i + 1 < self.experiments.len() { "," } else { "" }
+            ));
+        }
+        out.push_str("  ],\n");
+        out.push_str("  \"cells\": [\n");
+        for (i, c) in self.cells.iter().enumerate() {
+            out.push_str(&format!(
+                "    {{\"machine\": \"{}\", \"benchmark\": \"{}\", \"policy\": \"{}\", \"wall_secs\": {:.3}, \"estimated_ops\": {}, \"actual_ops\": {}, \"queue_wait_secs\": {:.3}, \"merge_secs\": {:.3}, \"worker\": {}, \"lanes_free_start\": {}, \"from_journal\": {}}}{}\n",
+                esc(&c.machine),
+                esc(&c.benchmark),
+                esc(&c.policy),
+                c.wall_secs,
+                c.estimated_ops,
+                c.actual_ops,
+                c.queue_wait_secs,
+                c.merge_secs,
+                c.worker,
+                c.lanes_free_start,
+                c.from_journal,
+                if i + 1 < self.cells.len() { "," } else { "" }
+            ));
+        }
+        out.push_str("  ]\n}\n");
+        out
+    }
 }
 
-/// Pulls `"key": <float>` out of one line of our own stable JSON format.
-fn json_f64(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Pulls `"key": "<string>"` out of one line (no escape handling: the
-/// runner file only escapes `\` and `"`, which never appear in the
-/// machine/benchmark/policy labels the report displays).
-fn json_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Parses a `BENCH_runner.json` (any `bench-runner-v*` schema; span
-/// fields default to zero when missing). `None` when the text has no
-/// schema tag at all — a truncated or foreign file.
-pub fn parse_runner_json(text: &str) -> Option<RunnerReport> {
-    let mut r = RunnerReport::default();
-    let mut in_experiments = false;
-    let mut in_cells = false;
-    for line in text.lines() {
-        if let Some(s) = json_str(line, "schema") {
-            r.schema = s;
-        }
-        if let Some(t) = json_f64(line, "total_wall_secs") {
-            r.total_wall_secs = t;
-        }
-        if let Some(e) = json_f64(line, "epochs_reused") {
-            r.epochs_reused = e;
-        }
-        if line.contains("\"experiments\": [") {
-            in_experiments = true;
-            continue;
-        }
-        if line.contains("\"cells\": [") {
-            in_cells = true;
-            continue;
-        }
-        let closing = line.trim_start().starts_with(']');
-        if in_experiments {
-            if closing {
-                in_experiments = false;
-            } else if let (Some(name), Some(secs)) =
-                (json_str(line, "name"), json_f64(line, "wall_secs"))
-            {
-                r.experiments.push((name, secs));
-            }
-            continue;
-        }
-        if in_cells {
-            if closing {
-                in_cells = false;
-            } else if let (Some(machine), Some(benchmark), Some(policy)) = (
-                json_str(line, "machine"),
-                json_str(line, "benchmark"),
-                json_str(line, "policy"),
-            ) {
-                r.cells.push(RunnerCellRow {
-                    machine,
-                    benchmark,
-                    policy,
-                    wall_secs: json_f64(line, "wall_secs").unwrap_or(0.0),
-                    queue_wait_secs: json_f64(line, "queue_wait_secs").unwrap_or(0.0),
-                    merge_secs: json_f64(line, "merge_secs").unwrap_or(0.0),
-                    worker: json_f64(line, "worker").unwrap_or(0.0) as usize,
-                    from_journal: line.contains("\"from_journal\": true"),
-                });
+/// First-submitter attribution: `owner[slot]` is the index of the first
+/// experiment that submitted the unique cell in `slot`.
+fn owners(exp_slots: &[Vec<usize>], n_cells: usize) -> Vec<usize> {
+    let mut owner = vec![usize::MAX; n_cells];
+    for (ei, slots) in exp_slots.iter().enumerate() {
+        for &s in slots {
+            if owner[s] == usize::MAX {
+                owner[s] = ei;
             }
         }
     }
-    if r.schema.is_empty() {
-        None
+    owner
+}
+
+/// Wall-clock seconds of the unique cells owned by experiment `i`.
+/// Exactly `0.0` (positive zero) when it owns none: f64's empty-sum
+/// identity is `-0.0`, which would otherwise print as `-0.000`.
+fn owned_secs(owner: &[usize], timed: &[TimedCell], i: usize) -> f64 {
+    let s: f64 = owner
+        .iter()
+        .zip(timed)
+        .filter(|(&o, _)| o == i)
+        .map(|(_, t)| t.wall_secs)
+        .sum();
+    if s <= 0.0 {
+        0.0
     } else {
-        Some(r)
+        s
     }
+}
+
+/// Parses a `BENCH_runner.json` (any `bench-runner-v*` schema; fields a
+/// schema lacks stay zero, and fields it no longer writes are ignored).
+/// `None` when the text has no schema tag at all — a truncated or
+/// foreign file.
+pub fn parse_runner_json(text: &str) -> Option<RunnerReport> {
+    // Scalars sit before the arrays; each array row is one line.
+    let head = text.split("\"experiments\": [").next().unwrap_or(text);
+    let num = |key: &str| u64_field(head, key).unwrap_or(0);
+    let secs = |key: &str| f64_field(head, key).unwrap_or(0.0);
+    let rows = |key: &str| {
+        let open = format!("\"{key}\": [");
+        text.lines()
+            .skip_while(move |l| !l.contains(&open))
+            .skip(1)
+            .take_while(|l| !l.trim_start().starts_with(']'))
+    };
+    Some(RunnerReport {
+        schema: str_field(head, "schema")?,
+        shards: str_field(head, "shards").unwrap_or_default(),
+        jobs: num("jobs") as usize,
+        host_cores: num("host_cores") as usize,
+        total_wall_secs: secs("total_wall_secs"),
+        epochs_simulated: num("epochs_simulated"),
+        spans: SpanRollup {
+            live_cells: num("live_cells") as usize,
+            queue_wait_total_secs: secs("queue_wait_total_secs"),
+            simulate_total_secs: secs("simulate_total_secs"),
+            merge_total_secs: secs("merge_total_secs"),
+            workers_used: num("workers_used") as usize,
+            lanes_free_min: num("lanes_free_min") as usize,
+            lanes_free_max: num("lanes_free_max") as usize,
+        },
+        experiments: rows("experiments")
+            .filter_map(|l| {
+                Some(RunnerExperimentRow {
+                    name: str_field(l, "name")?,
+                    cells: u64_field(l, "cells").unwrap_or(0) as usize,
+                    reused_cells: u64_field(l, "reused_cells").unwrap_or(0) as usize,
+                    wall_secs: f64_field(l, "wall_secs")?,
+                })
+            })
+            .collect(),
+        cells: rows("cells")
+            .filter_map(|l| {
+                let num = |key: &str| u64_field(l, key).unwrap_or(0);
+                let secs = |key: &str| f64_field(l, key).unwrap_or(0.0);
+                Some(RunnerCellRow {
+                    machine: str_field(l, "machine")?,
+                    benchmark: str_field(l, "benchmark")?,
+                    policy: str_field(l, "policy")?,
+                    wall_secs: secs("wall_secs"),
+                    estimated_ops: num("estimated_ops"),
+                    actual_ops: num("actual_ops"),
+                    queue_wait_secs: secs("queue_wait_secs"),
+                    merge_secs: secs("merge_secs"),
+                    worker: num("worker") as usize,
+                    lanes_free_start: num("lanes_free_start") as usize,
+                    from_journal: bool_field(l, "from_journal").unwrap_or(false),
+                })
+            })
+            .collect(),
+    })
+}
+
+/// One experiment's wall-clock against a baseline. The ">25 % slower"
+/// rule lives here, so `all_experiments --compare` and the report's
+/// regression table flag the same rows. Wall-clock on shared runners is
+/// noisy: both render it as a soft warning, never a failure.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Delta<'a> {
+    /// Experiment name (or `TOTAL`).
+    pub name: &'a str,
+    /// Baseline seconds.
+    pub before: f64,
+    /// This run's seconds.
+    pub now: f64,
+}
+
+impl<'a> Delta<'a> {
+    /// `None` when either side owns no seconds: a fully deduped
+    /// experiment has no meaningful ratio.
+    pub fn new(name: &'a str, before: f64, now: f64) -> Option<Delta<'a>> {
+        (before > 0.0 && now > 0.0).then_some(Delta { name, before, now })
+    }
+
+    /// Speedup of this run over the baseline (`before / now`).
+    pub fn ratio(&self) -> f64 {
+        self.before / self.now
+    }
+
+    /// Whether this run is more than 25 % slower than the baseline.
+    pub fn regressed(&self) -> bool {
+        self.now > self.before * 1.25
+    }
+}
+
+/// The per-experiment deltas of `now` against `base`, in `now`'s order.
+/// Experiments missing from the baseline or owning no seconds on either
+/// side are skipped.
+pub fn experiment_deltas<'a>(now: &'a RunnerReport, base: &RunnerReport) -> Vec<Delta<'a>> {
+    now.experiments
+        .iter()
+        .filter_map(|e| {
+            let before = base.experiments.iter().find(|b| b.name == e.name)?;
+            Delta::new(&e.name, before.wall_secs, e.wall_secs)
+        })
+        .collect()
 }
 
 /// One worker lane's share of the suite wall-clock.
@@ -419,8 +680,8 @@ fn metric_block(label: &str, values: &[f64], stroke: &str) -> String {
 
 /// Assembles the full self-contained HTML document.
 ///
-/// `journal` is `(ok_lines, panicked_lines)` from the suite's crash
-/// journal when one exists; `attrib_present` notes whether
+/// `journal` is the crash journal's `(ok, failed)` line counts
+/// ([`crate::journal::outcome_counts`]) when one exists; `attrib_present` notes whether
 /// `results/ATTRIB_all.json` was found.
 pub fn html_report(
     series: &[CellSeries],
@@ -575,11 +836,10 @@ pub fn html_report(
             let busy: f64 = bd.lanes.iter().map(|l| l.busy_secs).sum();
             out.push_str(&format!(
                 "<p>Suite wall-clock <b>{:.3}s</b> across {} worker lane(s); busy \
-                 {busy:.3}s, queue-wait total {:.3}s, epochs reused {:.0}.</p>\n",
+                 {busy:.3}s, queue-wait total {:.3}s.</p>\n",
                 bd.total_wall_secs,
                 bd.lanes.len(),
                 bd.queue_wait_total_secs,
-                r.epochs_reused,
             ));
             out.push_str(&worker_timeline(&bd, &r.cells, 900));
             out.push_str(
@@ -624,31 +884,27 @@ pub fn html_report(
                 "<table><tr><th class=\"l\">experiment</th><th>baseline s</th>\
                  <th>now s</th><th>ratio</th><th class=\"l\"></th></tr>\n",
             );
-            for (name, now_secs) in &now.experiments {
-                let Some((_, base_secs)) = base.experiments.iter().find(|(n, _)| n == name) else {
-                    continue;
-                };
-                if *base_secs <= 0.0 || *now_secs <= 0.0 {
-                    continue;
-                }
-                let flag = if *now_secs > base_secs * 1.25 {
+            for d in experiment_deltas(now, base) {
+                let flag = if d.regressed() {
                     "<span class=\"fail\">REGRESSION</span>"
                 } else {
                     ""
                 };
                 out.push_str(&format!(
-                    "<tr><td class=\"l\">{}</td><td>{base_secs:.3}</td>\
-                     <td>{now_secs:.3}</td><td>{:.2}x</td><td class=\"l\">{flag}</td></tr>\n",
-                    hesc(name),
-                    base_secs / now_secs,
+                    "<tr><td class=\"l\">{}</td><td>{:.3}</td><td>{:.3}</td>\
+                     <td>{:.2}x</td><td class=\"l\">{flag}</td></tr>\n",
+                    hesc(d.name),
+                    d.before,
+                    d.now,
+                    d.ratio(),
                 ));
             }
             out.push_str("</table>\n");
             out.push_str(&format!(
-                "<p class=\"note\">Totals: baseline {:.3}s → now {:.3}s; epochs reused \
-                 {:.0} → {:.0}. Wall-clock comparisons on shared runners are noisy — \
-                 these are the same soft gates <code>--compare</code> prints.</p>\n",
-                base.total_wall_secs, now.total_wall_secs, base.epochs_reused, now.epochs_reused,
+                "<p class=\"note\">Totals: baseline {:.3}s → now {:.3}s. Wall-clock \
+                 comparisons on shared runners are noisy — these are the same soft \
+                 gates <code>--compare</code> prints.</p>\n",
+                base.total_wall_secs, now.total_wall_secs,
             ));
         }
         _ => out.push_str(
@@ -696,17 +952,70 @@ mod tests {
     }
 
     #[test]
-    fn runner_json_round_trips() {
+    fn v5_runner_json_parses() {
         let r = parse_runner_json(&synthetic_v5()).expect("parses");
         assert_eq!(r.schema, "bench-runner-v5");
         assert_eq!(r.total_wall_secs, 10.0);
-        assert_eq!(r.epochs_reused, 7.0);
         assert_eq!(r.experiments.len(), 2);
-        assert_eq!(r.experiments[0], ("fig2".to_string(), 6.0));
+        assert_eq!(r.experiments[0].name, "fig2");
+        assert_eq!(r.experiments[0].wall_secs, 6.0);
+        assert_eq!(r.experiments[1].reused_cells, 2);
         assert_eq!(r.cells.len(), 3);
         assert_eq!(r.cells[1].worker, 1);
         assert!(r.cells[2].from_journal);
         assert!(parse_runner_json("not json at all").is_none());
+    }
+
+    #[test]
+    fn runner_json_round_trips() {
+        let mut r = parse_runner_json(&synthetic_v5()).expect("parses");
+        r.schema = RUNNER_SCHEMA.to_string();
+        r.shards = "4".into();
+        r.jobs = 2;
+        r.host_cores = 2;
+        r.epochs_simulated = 61;
+        r.spans = SpanRollup {
+            live_cells: 2,
+            queue_wait_total_secs: 0.3,
+            simulate_total_secs: 9.0,
+            merge_total_secs: 0.03,
+            workers_used: 2,
+            lanes_free_min: 1,
+            lanes_free_max: 2,
+        };
+        r.cells[0].machine = "machine \"a\"\\".into();
+        let text = r.to_json();
+        assert!(!text.contains("epochs_reused") && !text.contains("families"));
+        assert_eq!(parse_runner_json(&text).as_ref(), Some(&r));
+    }
+
+    #[test]
+    fn checked_in_baseline_parses() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/BENCH_baseline.json"
+        );
+        let text = std::fs::read_to_string(path).expect("baseline is checked in");
+        let r = parse_runner_json(&text).expect("parses");
+        assert_eq!(r.experiments.len(), 12);
+        assert_eq!(r.total_wall_secs, 163.357);
+        assert_eq!(r.cells.len(), 260);
+        assert_eq!(r.spans.live_cells, 260);
+    }
+
+    #[test]
+    fn deltas_skip_zero_owned_rows_and_flag_25_percent() {
+        let base = parse_runner_json(&synthetic_v5()).expect("parses");
+        let mut now = base.clone();
+        now.experiments[0].wall_secs = 7.6;
+        let d = experiment_deltas(&now, &base);
+        assert_eq!(d.len(), 1, "fig3 owns 0 s in both runs");
+        assert_eq!((d[0].name, d[0].before, d[0].now), ("fig2", 6.0, 7.6));
+        assert!(d[0].regressed());
+        assert!(!Delta::new("x", 6.0, 7.5)
+            .expect("both positive")
+            .regressed());
+        assert!(Delta::new("x", 0.0, 1.0).is_none());
     }
 
     #[test]

@@ -13,8 +13,13 @@
 //! schema hash) before decoding, so a decode failure is a programming
 //! error — a save/load pair out of sync — not a runtime condition to
 //! recover from.
+//!
+//! [`json`] is the matching reader for the workspace's hand-written JSON
+//! files, whose strings [`esc`] escapes.
 
 #![forbid(unsafe_code)]
+
+pub mod json;
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -1084,9 +1084,18 @@ impl TraceDigest {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str("  \"schema\": 1,\n");
-        out.push_str(&format!("  \"workload\": \"{}\",\n", self.workload));
-        out.push_str(&format!("  \"policy\": \"{}\",\n", self.policy));
-        out.push_str(&format!("  \"machine\": \"{}\",\n", self.machine));
+        out.push_str(&format!(
+            "  \"workload\": \"{}\",\n",
+            codec::esc(&self.workload)
+        ));
+        out.push_str(&format!(
+            "  \"policy\": \"{}\",\n",
+            codec::esc(&self.policy)
+        ));
+        out.push_str(&format!(
+            "  \"machine\": \"{}\",\n",
+            codec::esc(&self.machine)
+        ));
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
         out.push_str(&format!("  \"runtime_cycles\": {},\n", self.runtime_cycles));
         out.push_str("  \"epochs\": [\n");
@@ -1111,49 +1120,36 @@ impl TraceDigest {
         out
     }
 
-    /// Parses the format written by [`TraceDigest::to_json`]. A minimal
-    /// purpose-built parser (the build environment has no `serde_json`);
-    /// tolerant of whitespace, intolerant of anything else.
+    /// Parses the format written by [`TraceDigest::to_json`] through
+    /// [`codec::json`]; tolerant of whitespace, intolerant of anything else.
     pub fn from_json(text: &str) -> Result<TraceDigest, String> {
-        fn str_field(text: &str, key: &str) -> Result<String, String> {
-            let pat = format!("\"{key}\"");
-            let at = text.find(&pat).ok_or_else(|| format!("missing {key}"))?;
-            let rest = &text[at + pat.len()..];
-            let open = rest.find('"').ok_or_else(|| format!("bad {key}"))? + 1;
-            let close = rest[open..].find('"').ok_or_else(|| format!("bad {key}"))?;
-            Ok(rest[open..open + close].to_string())
-        }
-        fn u64_field(text: &str, key: &str) -> Result<u64, String> {
-            let pat = format!("\"{key}\"");
-            let at = text.find(&pat).ok_or_else(|| format!("missing {key}"))?;
-            let rest = text[at + pat.len()..].trim_start_matches([':', ' ', '\t']);
-            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-            digits.parse().map_err(|_| format!("bad {key}"))
-        }
+        use codec::json;
+        let bad = |key: &str| format!("missing or bad {key}");
+        let string = |obj: &str, key: &str| json::str_field(obj, key).ok_or_else(|| bad(key));
+        let number = |obj: &str, key: &str| json::u64_field(obj, key).ok_or_else(|| bad(key));
         let mut d = TraceDigest {
-            workload: str_field(text, "workload")?,
-            policy: str_field(text, "policy")?,
-            machine: str_field(text, "machine")?,
-            seed: u64_field(text, "seed")?,
-            runtime_cycles: u64_field(text, "runtime_cycles")?,
+            workload: string(text, "workload")?,
+            policy: string(text, "policy")?,
+            machine: string(text, "machine")?,
+            seed: number(text, "seed")?,
+            runtime_cycles: number(text, "runtime_cycles")?,
             epochs: Vec::new(),
         };
-        let epochs_at = text.find("\"epochs\"").ok_or("missing epochs")?;
-        let mut rest = &text[epochs_at..];
+        let mut rest = json::value(text, "epochs").ok_or("missing epochs")?;
         while let Some(open) = rest.find('{') {
             let close = rest[open..].find('}').ok_or("unterminated epoch object")?;
             let obj = &rest[open..open + close + 1];
             d.epochs.push(EpochDigest {
-                epoch: u64_field(obj, "epoch")? as u32,
-                events: u64_field(obj, "events")?,
-                hash: u64::from_str_radix(&str_field(obj, "hash")?, 16)
+                epoch: number(obj, "epoch")? as u32,
+                events: number(obj, "events")?,
+                hash: u64::from_str_radix(&string(obj, "hash")?, 16)
                     .map_err(|_| "bad hash".to_string())?,
-                faults: u64_field(obj, "faults")?,
-                splits: u64_field(obj, "splits")?,
-                migrations: u64_field(obj, "migrations")?,
-                collapses: u64_field(obj, "collapses")?,
-                decisions: u64_field(obj, "decisions")?,
-                failed: u64_field(obj, "failed")?,
+                faults: number(obj, "faults")?,
+                splits: number(obj, "splits")?,
+                migrations: number(obj, "migrations")?,
+                collapses: number(obj, "collapses")?,
+                decisions: number(obj, "decisions")?,
+                failed: number(obj, "failed")?,
             });
             rest = &rest[open + close + 1..];
         }
@@ -1394,6 +1390,11 @@ mod tests {
         let parsed = TraceDigest::from_json(&d.to_json()).unwrap();
         assert_eq!(d, parsed);
         assert!(d.diff(&parsed).is_none());
+        // Names are escaped on the way out and unescaped on the way in.
+        d.workload = r#"UA."B"\{"epochs": [}"#.into();
+        d.machine = "machine\ta".into();
+        let parsed = TraceDigest::from_json(&d.to_json()).unwrap();
+        assert_eq!(d, parsed);
     }
 
     #[test]

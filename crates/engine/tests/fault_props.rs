@@ -166,8 +166,8 @@ proptest! {
         let machine = MachineSpec::test_machine();
         let spec = small_spec(&machine, 4 << 20, pattern);
         let faults = FaultConfig::uniform(seed, rate);
-        let (ra, da) = run_digested(&machine, &spec, faults.clone(), &mut Churn);
-        let (rb, db) = run_digested(&machine, &spec, faults.clone(), &mut Churn);
+        let (ra, da) = run_digested(&machine, &spec, faults, &mut Churn);
+        let (rb, db) = run_digested(&machine, &spec, faults, &mut Churn);
         prop_assert_eq!(&ra, &rb);
         prop_assert!(da.diff(&db).is_none(), "trace digests diverged: {:?}", da.diff(&db));
         prop_assert_eq!(da, db);
